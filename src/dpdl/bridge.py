@@ -23,10 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import DomainError, NumericError, UnsupportedError, ValidationError
-from .prototypes import MGP, diag_mixture_log_density, mgp_log_density
+from .prototypes import MGP, diag_mixture_log_density, logsumexp, mgp_log_density
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -72,17 +71,29 @@ class CondGMM:
         return self.weights @ self.means
 
 
-def conditional_plan(mgp: MGP, x: np.ndarray) -> CondGMM:
-    """Endpoint distribution of the coupling given source point x.
+def plan_weights_and_means(mgp: MGP, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weights (C,) and component means (C, D) of the conditional plan at x.
 
-    Weights are the normalized tilted masses; component c keeps variance
-    sigma_c and shifts its mean to mu_c + sigma_c * x / eps.
+    Weights are the normalized tilted masses; component c shifts its mean
+    to mu_c + sigma_c * x / eps.
     """
     x = _as_point(mgp, x)
     lw = tilted_log_weights(mgp, x)
     weights = np.exp(lw - logsumexp(lw))
     weights = weights / weights.sum()
-    means = mgp.mu + mgp.sigma * (x / mgp.epsilon)[None, :]
+    means = mgp.sigma * (x / mgp.epsilon)[None, :]
+    means += mgp.mu
+    return weights, means
+
+
+def conditional_plan(mgp: MGP, x: np.ndarray) -> CondGMM:
+    """Endpoint distribution of the coupling given source point x.
+
+    Component c keeps variance sigma_c; see plan_weights_and_means for the
+    weights and means.
+    """
+    x = _as_point(mgp, x)
+    weights, means = plan_weights_and_means(mgp, x)
     return CondGMM(weights=weights, means=means, variances=mgp.sigma.copy(), x=x)
 
 
@@ -106,8 +117,13 @@ def posterior_mode_index(mgp: MGP, psi: np.ndarray) -> int:
     index.
     """
     psi = _as_point(mgp, psi)
-    diff = psi[None, :] - mgp.mu
-    scores = -0.5 * np.sum(diff * diff / mgp.sigma + np.log(mgp.sigma), axis=1)
+    # (psi - mu)^2 / sigma + log sigma, in one buffer: the scorer calls this
+    # once per item and fresh (C, D) temporaries cost more than the arithmetic.
+    terms = psi[None, :] - mgp.mu
+    np.multiply(terms, terms, out=terms)
+    np.divide(terms, mgp.sigma, out=terms)
+    np.add(terms, mgp.log_sigma, out=terms)
+    scores = -0.5 * np.sum(terms, axis=1)
     return int(np.argmax(scores))
 
 
@@ -123,7 +139,7 @@ def _posterior_terms(mgp: MGP, xs: np.ndarray, t: float):
     means = lin / prec[None, :, :]
     log_resp = (
         np.log(mgp.alpha)[None, :]
-        - 0.5 * np.sum(np.log(mgp.sigma), axis=1)[None, :]
+        - 0.5 * np.sum(mgp.log_sigma, axis=1)[None, :]
         - 0.5 * np.sum(np.log(prec), axis=1)[None, :]
         - 0.5 * np.sum(mgp.mu * mgp.mu / mgp.sigma, axis=1)[None, :]
         + 0.5 * np.sum(lin * lin / prec[None, :, :], axis=2)

@@ -9,6 +9,7 @@ field, so configs stay declarative and typos fail loudly.
 from __future__ import annotations
 
 import dataclasses
+import math
 from pathlib import Path
 
 from .errors import ValidationError
@@ -78,3 +79,14 @@ def _coerce_value(annotation, key: str, text: str):
     if type_name == "str":
         return text
     raise ValidationError(f"config key {key!r} has unsupported field type {type_name!r}")
+
+
+def check_finite_floats(config) -> None:
+    """Reject NaN and +-inf in every float field of a config dataclass.
+
+    Range checks written with < and <= let NaN through, so this runs first.
+    """
+    for field in dataclasses.fields(config):
+        value = getattr(config, field.name)
+        if field.type == "float" and not math.isfinite(value):
+            raise ValidationError(f"{field.name} must be finite, got {value!r}")

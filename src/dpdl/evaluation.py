@@ -10,8 +10,6 @@ bit for bit, so wall-clock time is printed by the CLI but never stored.
 from __future__ import annotations
 
 import dataclasses
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,8 +20,6 @@ from .features import Dataset, make_splits
 from .prototypes import mgp_realize, vq_init
 from .scoring import anomaly_score
 from .training import Checkpoint, TrainConfig, TrainResult, train
-
-_SCORE_THREAD_THRESHOLD = 64
 
 
 def auc(scores, labels) -> float:
@@ -48,39 +44,21 @@ def auc(scores, labels) -> float:
     return u_stat / (n_pos * n_neg)
 
 
-def thread_cap() -> int:
-    """Worker-thread bound from DPDL_THREADS; defaults to the core count."""
-    raw = os.environ.get("DPDL_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValidationError(f"DPDL_THREADS must be a positive integer, got {raw!r}") from None
-    if cap < 1:
-        raise ValidationError(f"DPDL_THREADS must be a positive integer, got {raw!r}")
-    return cap
-
-
 def score_dataset(ckpt: Checkpoint, dataset: Dataset, item_ids=None) -> list:
     """Score items (all by default) and return (source_id, label, score) rows.
 
-    Scoring is a pure per-item function, so fanning it out over threads
-    cannot change the output order or values.
+    Each row is exactly ``anomaly_score`` of its item.  Items are scored one
+    at a time on purpose: a matrix product over a stack of items rounds
+    differently from the same product per item.
     """
     mgp = mgp_realize(ckpt.params)
-    ids = list(range(len(dataset))) if item_ids is None else list(item_ids)
+    ids = range(len(dataset)) if item_ids is None else item_ids
     scale = ckpt.config.residual_scale
-
-    def one(i: int):
+    rows = []
+    for i in ids:
         item = dataset.items[i]
-        return (item.source_id, item.label, anomaly_score(mgp, ckpt.heads, item, scale))
-
-    cap = thread_cap()
-    if cap > 1 and len(ids) >= _SCORE_THREAD_THRESHOLD:
-        with ThreadPoolExecutor(max_workers=cap) as pool:
-            return list(pool.map(one, ids))
-    return [one(i) for i in ids]
+        rows.append((item.source_id, item.label, anomaly_score(mgp, ckpt.heads, item, scale)))
+    return rows
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,9 @@ Binary container layout (all little-endian):
     depth   u32
     then per item: class_id u32, label u8, 3 zero bytes,
     height*width*depth float32 values in row-major order.
+
+``_record_dtype`` spells one item as a numpy structured dtype; the writer
+and the reader both go through it.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .configio import coerce_fields, parse_kv_file
+from .configio import check_finite_floats, coerce_fields, parse_kv_file
 from .errors import CorruptionError, FormatError, ProtocolError, ValidationError
 
 MAGIC = b"DPDLFEAT"
@@ -39,7 +42,12 @@ LABEL_ANOMALY = 1
 PSEUDO_ANOMALY_CLASS_ID = 0xFFFFFFFF
 
 _HEADER = struct.Struct("<8sIQIII")
-_RECORD_HEAD = struct.Struct("<IB3s")
+_ZERO_PAD = np.void(b"\x00\x00\x00")
+
+
+def _record_dtype(h: int, w: int, d: int) -> np.dtype:
+    """One stored item: class id, label, 3 padding bytes, then the grid."""
+    return np.dtype([("class_id", "<u4"), ("label", "u1"), ("pad", "V3"), ("grid", "<f4", (h, w, d))])
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,6 +78,13 @@ class FeatureMap:
             raise ValidationError(f"label must be 0 or 1, got {self.label}")
         if not 0 <= self.class_id <= 0xFFFFFFFF:
             raise ValidationError(f"class_id must fit in u32, got {self.class_id}")
+
+    @classmethod
+    def _view(cls, grid: np.ndarray, label: int, class_id: int, source_id: str) -> "FeatureMap":
+        """Wrap an already validated read-only float32 grid without copying it."""
+        fm = object.__new__(cls)
+        fm.__dict__.update(grid=grid, label=label, class_id=class_id, source_id=source_id)
+        return fm
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -137,15 +152,18 @@ def canonical_source_id(index: int) -> str:
 
 def write_feature_file(path: str | Path, dataset: Dataset) -> None:
     h, w, d = dataset.dims
-    payload = bytearray()
-    payload += _HEADER.pack(MAGIC, FORMAT_VERSION, len(dataset), h, w, d)
-    for item in dataset.items:
-        payload += _RECORD_HEAD.pack(item.class_id, item.label, b"\x00\x00\x00")
-        payload += np.ascontiguousarray(item.grid, dtype="<f4").tobytes()
-    Path(path).write_bytes(bytes(payload))
+    records = np.zeros(len(dataset), dtype=_record_dtype(h, w, d))
+    records["class_id"] = [item.class_id for item in dataset.items]
+    records["label"] = [item.label for item in dataset.items]
+    for i, item in enumerate(dataset.items):
+        records["grid"][i] = item.grid
+    with open(path, "wb") as fh:
+        fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, len(dataset), h, w, d))
+        records.tofile(fh)
 
 
 def read_feature_file(path: str | Path) -> Dataset:
+    """Read a feature file; items are read-only views into the file's bytes."""
     path = Path(path)
     blob = path.read_bytes()
     if len(blob) < _HEADER.size:
@@ -159,27 +177,33 @@ def read_feature_file(path: str | Path) -> Dataset:
         raise CorruptionError(f"{path}: dataset is empty")
     if min(h, w, d) < 1:
         raise CorruptionError(f"{path}: non-positive grid dims ({h}, {w}, {d})")
-    cell_bytes = h * w * d * 4
-    record_bytes = _RECORD_HEAD.size + cell_bytes
-    expected = _HEADER.size + count * record_bytes
+    # Sized in Python ints (8 bytes of class id, label and padding, then the
+    # grid) before any dtype is built, so a corrupt header cannot reach numpy.
+    expected = _HEADER.size + count * (8 + 4 * h * w * d)
     if len(blob) != expected:
         raise CorruptionError(f"{path}: expected {expected} bytes for {count} items, found {len(blob)}")
-    items = []
-    offset = _HEADER.size
-    for i in range(count):
-        class_id, label, pad = _RECORD_HEAD.unpack_from(blob, offset)
-        if pad != b"\x00\x00\x00":
-            raise CorruptionError(f"{path}: item {i} has nonzero padding bytes")
-        if label not in (LABEL_NORMAL, LABEL_ANOMALY):
-            raise CorruptionError(f"{path}: item {i} has label {label}")
-        offset += _RECORD_HEAD.size
-        grid = np.frombuffer(blob, dtype="<f4", count=h * w * d, offset=offset).reshape(h, w, d)
-        offset += cell_bytes
-        try:
-            items.append(FeatureMap(grid, int(label), int(class_id), canonical_source_id(i)))
-        except ValidationError as exc:
-            raise CorruptionError(f"{path}: item {i}: {exc}") from exc
-    return Dataset(tuple(items), name=path.stem)
+    records = np.frombuffer(blob, dtype=_record_dtype(h, w, d), count=count, offset=_HEADER.size)
+    grids = records["grid"]
+    labels = records["label"]
+    bad_pad = records["pad"] != _ZERO_PAD
+    bad_label = labels > LABEL_ANOMALY
+    # A float64 sum of finite float32 values cannot overflow, so an item's
+    # sum is finite exactly when all of its values are.
+    bad_values = ~np.isfinite(grids.sum(axis=(1, 2, 3), dtype=np.float64))
+    bad = bad_pad | bad_label | bad_values
+    if bad.any():
+        i = int(np.argmax(bad))
+        if bad_pad[i]:
+            reason = "has nonzero padding bytes"
+        elif bad_label[i]:
+            reason = f"has label {labels[i]}"
+        else:
+            reason = "contains non-finite values"
+        raise CorruptionError(f"{path}: item {i} {reason}")
+    items = tuple(FeatureMap._view(grid, label, class_id, canonical_source_id(i))
+                  for i, (grid, label, class_id) in enumerate(
+                      zip(grids, labels.tolist(), records["class_id"].tolist())))
+    return Dataset(items, name=path.stem)
 
 
 @dataclass(frozen=True)
@@ -219,6 +243,7 @@ class SynthConfig:
     anomaly_patch_fraction: float = 0.0625
 
     def __post_init__(self):
+        check_finite_floats(self)
         for field in ("n_normal_clusters", "n_per_normal_cluster",
                       "n_per_anomaly_class", "height", "width", "channels"):
             if getattr(self, field) < 1:

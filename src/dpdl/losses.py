@@ -5,6 +5,23 @@ partition of normal batches up and the prototypes' self-likelihood down
 (and the reverse for anomaly batches).  The dispersion loss penalizes
 clumping of unit-normalized feature vectors on the hypersphere.
 
+The prototype losses have two parts.  P(B) is the mean tilted
+log-partition over a batch B, and S is the mixture's mean log density at
+its own means.  A normal batch gives L_DPLn = P_n - S and an anomaly batch
+L_DPLa = S - P_a.  Each has the two-term shape of the Light Schrodinger
+Bridge objective (Korotin et al., ICLR 2024): a closed-form log-partition
+over source points minus the log mixture density at target points, here
+the prototype means.  A training step adds the two, so S cancels exactly
+whenever the batch holds anomalies, and with pseudo-anomalies in every
+default batch that is every step: what is descended is P_n - P_a, normal
+partitions against anomalous ones.  S acts only on batches of normals
+alone.  ``loss_dpl`` computes the step's sum once and skips S's gradient
+when it cancels; S's value is still computed for the log.
+
+Every mixture quadratic is written in expanded matrix-product form, so
+memory stays O(C*D + N*D) and nothing of shape (C, C, D) or (N, C, D) is
+built.
+
 All gradients are closed-form expressions with respect to the
 unconstrained parameters (logits, means, log variances), so no autodiff
 machinery is involved anywhere; the test suite checks every formula
@@ -16,10 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import DegenerateInputError, ValidationError
-from .prototypes import MGPParams
+from .prototypes import MGP, MGPParams, logsumexp, mgp_realize
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -29,6 +45,20 @@ class DPLLoss:
     """Scalar loss with gradients for logits a, means m, log-variances s."""
 
     value: float
+    grad_a: np.ndarray
+    grad_m: np.ndarray
+    grad_s: np.ndarray
+
+
+@dataclass(frozen=True)
+class DPLStep:
+    """A step's prototype loss: both terms' values and the gradient of their sum.
+
+    ``anomaly`` is 0 for a batch without anomalies.
+    """
+
+    normal: float
+    anomaly: float
     grad_a: np.ndarray
     grad_m: np.ndarray
     grad_s: np.ndarray
@@ -53,17 +83,10 @@ def _check_batch(params: MGPParams, batch: np.ndarray) -> np.ndarray:
     return batch
 
 
-def _realized(params: MGPParams):
-    shifted = params.a - params.a.max()
-    alpha = np.exp(shifted)
-    alpha /= alpha.sum()
-    return alpha, params.m, np.exp(params.s)
-
-
-def _partition_term(params: MGPParams, batch: np.ndarray):
-    """Mean tilted log-partition over the batch, with raw-parameter grads."""
-    alpha, mu, sigma = _realized(params)
-    e = params.epsilon
+def _partition_term(mgp: MGP, batch: np.ndarray):
+    """P over the batch and its raw-parameter grads (a, m, s)."""
+    alpha, mu, sigma = mgp.alpha, mgp.mu, mgp.sigma
+    e = mgp.epsilon
     n = batch.shape[0]
     logits = (
         np.log(alpha)[None, :]
@@ -76,55 +99,99 @@ def _partition_term(params: MGPParams, batch: np.ndarray):
     grad_a = w.mean(axis=0) - alpha
     grad_m = w.T @ batch / (n * e)
     grad_s = sigma * (w.T @ (batch * batch)) / (2.0 * n * e * e)
-    return value, grad_a, grad_m, grad_s
+    return value, (grad_a, grad_m, grad_s)
 
 
-def _self_likelihood_term(params: MGPParams):
-    """Mean mixture log-density at the prototype means, with raw-parameter grads.
-
-    The means appear both as evaluation points and as component centers,
-    so the mean gradient collects two flows.
-    """
-    alpha, mu, sigma = _realized(params)
-    c = params.n_components
-    diff = mu[:, None, :] - mu[None, :, :]                  # (c_eval, k_comp, D)
+def _self_likelihood(mgp: MGP):
+    """S and the responsibilities q[c, k] of component k at mean c, shape (C, C)."""
+    mu = mgp.mu
+    inv_sigma = 1.0 / mgp.sigma
+    # sum_d (mu_cd - mu_kd)^2 / sigma_kd, expanded; zero on the diagonal.
+    sq = (
+        (mu * mu) @ inv_sigma.T
+        - 2.0 * mu @ (mu * inv_sigma).T
+        + np.sum(mu * mu * inv_sigma, axis=1)[None, :]
+    )
+    sq = np.maximum(sq, 0.0)
+    np.fill_diagonal(sq, 0.0)
     energy = (
-        np.log(alpha)[None, :]
-        - 0.5 * np.sum(np.log(2.0 * np.pi * sigma), axis=1)[None, :]
-        - 0.5 * np.sum(diff * diff / sigma[None, :, :], axis=2)
+        np.log(mgp.alpha)[None, :]
+        - 0.5 * (mgp.dim * _LOG_2PI + np.sum(mgp.log_sigma, axis=1))[None, :]
+        - 0.5 * sq
     )                                                       # (c_eval, k_comp)
     norms = logsumexp(energy, axis=1)
-    value = float(np.mean(norms))
-    q = np.exp(energy - norms[:, None])                     # (c_eval, k_comp)
-    grad_a = q.mean(axis=0) - alpha
-    scaled = diff / sigma[None, :, :]                       # (c, k, D)
+    return float(np.mean(norms)), np.exp(energy - norms[:, None])
+
+
+def _self_likelihood_grads(mgp: MGP, q: np.ndarray):
+    """Raw-parameter grads (a, m, s) of S.
+
+    The means appear both as evaluation points and as component centers,
+    so the mean gradient collects two flows.  Every term weighted by
+    mu_c - mu_k vanishes on the diagonal, so it is summed over c != k only;
+    that keeps the usually dominant q[k, k] out of the cancellations.
+    """
+    mu = mgp.mu
+    c = mgp.n_components
+    inv_sigma = 1.0 / mgp.sigma
+    q_col = q.sum(axis=0)                                   # sum over evaluation points
+    q_off = q.copy()
+    np.fill_diagonal(q_off, 0.0)
+    off_col = q_off.sum(axis=0)
+    pulled = q_off.T @ mu                                   # (k, D): sum_c q[c, k] mu_c
+    grad_a = q.mean(axis=0) - mgp.alpha
     grad_m = (
-        -np.einsum("ck,ckd->cd", q, scaled)
-        + np.einsum("ck,ckd->kd", q, scaled)
+        q_off @ (mu * inv_sigma) - mu * (q_off @ inv_sigma)
+        + (pulled - off_col[:, None] * mu) * inv_sigma
     ) / c
-    grad_s = -0.5 * np.einsum("ck,ckd->kd", q, 1.0 - diff * diff / sigma[None, :, :]) / c
-    return value, grad_a, grad_m, grad_s
+    # sum_c q[c, k] (mu_c - mu_k)^2, expanded and clipped like the distances.
+    spread = np.maximum(q_off.T @ (mu * mu) - 2.0 * mu * pulled + off_col[:, None] * (mu * mu), 0.0)
+    grad_s = -0.5 * (q_col[:, None] - spread * inv_sigma) / c
+    return grad_a, grad_m, grad_s
+
+
+def _minus(x, y):
+    return tuple(a - b for a, b in zip(x, y))
 
 
 def loss_dpl_normal(params: MGPParams, batch: np.ndarray) -> DPLLoss:
-    """Prototype loss for a batch of normal feature vectors.
+    """Prototype loss P - S for a batch of normal feature vectors.
 
-    Mean tilted log-partition over the batch minus the prototypes' own
-    mean log-likelihood; descending it pulls normal mass toward the
-    prototypes while keeping the prototypes spread out.
+    Descending it pulls normal mass toward the prototypes while keeping the
+    prototypes spread out.
     """
     batch = _check_batch(params, batch)
-    pv, pa, pm, ps = _partition_term(params, batch)
-    sv, sa, sm, ss = _self_likelihood_term(params)
-    return DPLLoss(value=pv - sv, grad_a=pa - sa, grad_m=pm - sm, grad_s=ps - ss)
+    mgp = mgp_realize(params)
+    p_value, p_grads = _partition_term(mgp, batch)
+    s_value, q = _self_likelihood(mgp)
+    return DPLLoss(p_value - s_value, *_minus(p_grads, _self_likelihood_grads(mgp, q)))
 
 
 def loss_dpl_anomaly(params: MGPParams, batch: np.ndarray) -> DPLLoss:
-    """Prototype loss for a batch of anomalous feature vectors (sign-flipped)."""
+    """Prototype loss S - P for a batch of anomalous feature vectors (sign-flipped)."""
     batch = _check_batch(params, batch)
-    pv, pa, pm, ps = _partition_term(params, batch)
-    sv, sa, sm, ss = _self_likelihood_term(params)
-    return DPLLoss(value=sv - pv, grad_a=sa - pa, grad_m=sm - pm, grad_s=ss - ps)
+    mgp = mgp_realize(params)
+    p_value, p_grads = _partition_term(mgp, batch)
+    s_value, q = _self_likelihood(mgp)
+    return DPLLoss(s_value - p_value, *_minus(_self_likelihood_grads(mgp, q), p_grads))
+
+
+def loss_dpl(params: MGPParams, normal: np.ndarray, anomaly: np.ndarray | None = None) -> DPLStep:
+    """loss_dpl_normal(normal) + loss_dpl_anomaly(anomaly), computed once.
+
+    With anomalies the two S terms cancel, so only the two partitions are
+    differentiated; without them (``anomaly`` None) this is
+    loss_dpl_normal alone.
+    """
+    normal = _check_batch(params, normal)
+    mgp = mgp_realize(params)
+    n_value, n_grads = _partition_term(mgp, normal)
+    s_value, q = _self_likelihood(mgp)
+    if anomaly is None:
+        grads = _minus(n_grads, _self_likelihood_grads(mgp, q))
+        return DPLStep(n_value - s_value, 0.0, *grads)
+    a_value, a_grads = _partition_term(mgp, _check_batch(params, anomaly))
+    return DPLStep(n_value - s_value, s_value - a_value, *_minus(n_grads, a_grads))
 
 
 def unitize(x: np.ndarray) -> np.ndarray:

@@ -9,14 +9,43 @@ k-means++ way.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import ValidationError
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
+
+# k-means++ seeding: squared distances below this fraction of
+# |x|^2 + |c|^2 are rounding noise of the expanded form and count as zero.
+_SEED_ROUNDOFF = 1e-12
+
+
+def logsumexp(a, axis=None, keepdims: bool = False):
+    """log(sum(exp(a))) along ``axis``, bit for bit what scipy.special.logsumexp returns.
+
+    Same algorithm: every entry equal to the maximum is split out of the
+    sum, so the result is log1p(rest / ties) + log(ties) + max.  Where that
+    is not finite (all -inf, +inf or NaN entries) the direct
+    log(sum(exp(a))) is returned instead, as scipy does.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    a_max = np.max(a, axis=axis, keepdims=True)
+    ties = a == a_max
+    count = np.sum(ties, axis=axis, keepdims=True, dtype=np.float64)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rest = np.sum(np.exp(np.where(ties, -np.inf, a) - a_max), axis=axis, keepdims=True)
+        out = np.log1p(rest / count) + np.log(count) + a_max
+    bad = ~np.isfinite(out)
+    if bad.any():
+        with np.errstate(divide="ignore", over="ignore"):
+            direct = np.log(np.sum(np.exp(a), axis=axis, keepdims=True))
+        out = np.where(bad, direct, out)
+    if not keepdims:
+        out = np.squeeze(out, axis=axis)
+    return out[()] if out.ndim == 0 else out
 
 
 @dataclass
@@ -72,6 +101,11 @@ class MGP:
     @property
     def dim(self) -> int:
         return self.mu.shape[1]
+
+    @functools.cached_property
+    def log_sigma(self) -> np.ndarray:
+        """log(sigma), computed once per realized mixture."""
+        return np.log(self.sigma)
 
 
 def mgp_new(init, epsilon: float) -> MGPParams:
@@ -190,9 +224,22 @@ def vq_init(features: np.ndarray, n_codewords: int, max_iters: int = 100,
 
 def _kmeans_pp_seed(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = x.shape[0]
+    x_sq = np.sum(x * x, axis=1)
+
+    def sq_dists_to(idx: int) -> np.ndarray:
+        # |x - c|^2 from cached row norms; the chosen point itself and exact
+        # duplicates of it come out as zero.
+        c = x[idx]
+        c_sq = x_sq[idx]
+        d2 = x_sq - 2.0 * (x @ c) + c_sq
+        d2[d2 <= _SEED_ROUNDOFF * (x_sq + c_sq)] = 0.0
+        d2[idx] = 0.0
+        return d2
+
     codebook = np.empty((k, x.shape[1]), dtype=np.float64)
-    codebook[0] = x[int(rng.integers(0, n))]
-    closest = np.sum((x - codebook[0]) ** 2, axis=1)
+    first = int(rng.integers(0, n))
+    codebook[0] = x[first]
+    closest = sq_dists_to(first)
     for j in range(1, k):
         total = closest.sum()
         if total <= 0:
@@ -202,7 +249,7 @@ def _kmeans_pp_seed(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
         probs = closest / total
         idx = int(rng.choice(n, p=probs))
         codebook[j] = x[idx]
-        closest = np.minimum(closest, np.sum((x - codebook[j]) ** 2, axis=1))
+        closest = np.minimum(closest, sq_dists_to(idx))
     return codebook
 
 

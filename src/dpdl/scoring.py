@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bridge import conditional_plan, posterior_mode_index
+from .bridge import plan_weights_and_means, posterior_mode_index
 from .errors import ValidationError
 from .features import FeatureMap
 from .prototypes import MGP
@@ -72,7 +72,7 @@ def _grid_of(fm) -> np.ndarray:
     grid = fm.grid if isinstance(fm, FeatureMap) else np.asarray(fm)
     if grid.ndim != 3:
         raise ValidationError(f"expected an (H, W, d) grid, got shape {grid.shape}")
-    return grid.astype(np.float64)
+    return grid.astype(np.float64, copy=False)
 
 
 def pixel_scores(head: LinearHead, fm) -> np.ndarray:
@@ -160,8 +160,8 @@ def residual_grid(mgp: MGP, fm, residual_scale: str = "std") -> np.ndarray:
         raise ValidationError(f"residual_scale must be one of {RESIDUAL_SCALES}, got {residual_scale!r}")
     grid = _grid_of(fm)
     x = grid.reshape(-1)
-    cond = conditional_plan(mgp, x)
-    psi = cond.weights @ cond.means
+    weights, means = plan_weights_and_means(mgp, x)
+    psi = weights @ means
     c = posterior_mode_index(mgp, psi)
     denom = np.sqrt(mgp.sigma[c]) if residual_scale == "std" else mgp.sigma[c]
     return ((psi - mgp.mu[c]) / denom).reshape(grid.shape)

@@ -23,10 +23,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .configio import coerce_fields, parse_kv_file
+from .configio import check_finite_floats, coerce_fields, parse_kv_file
 from .errors import CorruptionError, FormatError, NumericError, ValidationError
 from .features import Dataset, SplitPlan, cutmix_pseudo_anomaly
-from .losses import loss_dfl, loss_dpl_anomaly, loss_dpl_normal, unitize
+from .losses import loss_dfl, loss_dpl, unitize
 from .prototypes import MGPParams, mgp_new, mgp_realize, vq_init
 from .scoring import (LinearHead, ScoringHeads, head_loss_anomaly, head_loss_normal,
                       head_loss_residual)
@@ -68,6 +68,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_finite_floats(self)
         for field in ("epochs", "iters_per_epoch", "batch_size", "n_prototypes"):
             if getattr(self, field) < 1:
                 raise ValidationError(f"{field} must be positive, got {getattr(self, field)}")
@@ -277,36 +278,28 @@ def train(dataset: Dataset, split: SplitPlan, config: TrainConfig,
             for key in ("w_a", "b_a", "w_n", "b_n", "w_r", "b_r"):
                 grads[key] /= count
 
-            normal_flats = np.stack([fm.flat() for fm in batch_fms[:n_normal]])
-            dpl_n = loss_dpl_normal(params, normal_flats)
-            grads["a"] += dpl_n.grad_a
-            grads["m"] += dpl_n.grad_m
-            grads["s"] += dpl_n.grad_s
-            l_dpl_a = 0.0
-            if count > n_normal:
-                anomaly_flats = np.stack([fm.flat() for fm in batch_fms[n_normal:]])
-                dpl_a = loss_dpl_anomaly(params, anomaly_flats)
-                grads["a"] += dpl_a.grad_a
-                grads["m"] += dpl_a.grad_m
-                grads["s"] += dpl_a.grad_s
-                l_dpl_a = dpl_a.value
+            flats = np.stack([fm.flat() for fm in batch_fms])
+            dpl = loss_dpl(params, flats[:n_normal], flats[n_normal:] if count > n_normal else None)
+            grads["a"] += dpl.grad_a
+            grads["m"] += dpl.grad_m
+            grads["s"] += dpl.grad_s
 
-            units = np.stack([unitize(fm.flat()) for fm in batch_fms])
+            units = np.stack([unitize(x) for x in flats])
             dfl = loss_dfl(units, config.kappa)
 
-            total = l_ma + l_mn + l_mr + dpl_n.value + l_dpl_a + config.lambda_ * dfl.value
+            total = l_ma + l_mn + l_mr + dpl.normal + dpl.anomaly + config.lambda_ * dfl.value
             if not np.isfinite(total):
                 raise NumericError(
                     f"non-finite loss at epoch {epoch + 1} iteration {it + 1}: "
                     f"L_Ma={l_ma} L_Mn={l_mn} L_Mr={l_mr} "
-                    f"L_DPLn={dpl_n.value} L_DPLa={l_dpl_a} L_DFL={dfl.value}")
+                    f"L_DPLn={dpl.normal} L_DPLa={dpl.anomaly} L_DFL={dfl.value}")
 
             step_grads = {k: grads[k] for k in opt_keys}
             _clip_global_norm(step_grads, GRAD_CLIP_NORM)
             optimizer_step({k: pdict[k] for k in opt_keys}, step_grads, opt,
                            config.learning_rate, config.weight_decay)
 
-            sums += np.array([l_ma, l_mn, l_mr, dpl_n.value, l_dpl_a, dfl.value, total])
+            sums += np.array([l_ma, l_mn, l_mr, dpl.normal, dpl.anomaly, dfl.value, total])
         means = sums / config.iters_per_epoch
         log_rows.append(EpochLog(epoch + 1, *[float(v) for v in means]))
 

@@ -98,6 +98,18 @@ class TestConditionalPlan:
         assert abs(draws.mean() - want) < 5 * np.sqrt(var / 20000)
 
 
+class TestPlanWeightsAndMeans:
+    def test_is_the_conditional_plan(self, rng):
+        from dpdl.bridge import plan_weights_and_means
+        mgp = random_mgp(rng, 4, 6, epsilon=0.3)
+        x = rng.normal(size=6)
+        weights, means = plan_weights_and_means(mgp, x)
+        cond = conditional_plan(mgp, x)
+        assert np.array_equal(weights, cond.weights)
+        assert np.array_equal(means, cond.means)
+        assert np.array_equal(cond.variances, mgp.sigma)
+
+
 class TestPosteriorMode:
     def test_ignores_mixture_weights(self):
         mgp = MGP(alpha=np.array([0.99, 0.01]),

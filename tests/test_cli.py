@@ -149,6 +149,15 @@ class TestErrorPaths:
         assert rc == 1
         assert "dpdl: error" in capsys.readouterr().err
 
+    def test_non_finite_config_value(self, workspace, capsys):
+        bad = workspace / "nan.cfg"
+        bad.write_text(TRAIN_CFG.replace("learning_rate = 0.01", "learning_rate = nan"))
+        rc = main(["train", "--data", str(workspace / "data.dpdlfeat"),
+                   "--protocol", "general", "--m", "1", "--seed", "0",
+                   "--config", str(bad), "--out", str(workspace / "nan.ckpt")])
+        assert rc == 1
+        assert "learning_rate must be finite" in capsys.readouterr().err
+
     def test_zero_runs_rejected(self, workspace, capsys):
         rc = main(["eval", "--data", str(workspace / "data.dpdlfeat"),
                    "--protocol", "general", "--m", "1", "--runs", "0",

@@ -3,9 +3,10 @@ import pytest
 
 from dpdl.errors import UndefinedMetricError, ValidationError
 from dpdl.evaluation import (auc, format_report, nearest_prototype_baseline_auc,
-                             Report, run_experiment, score_dataset, thread_cap,
-                             write_report)
+                             Report, run_experiment, score_dataset, write_report)
 from dpdl.features import Dataset, FeatureMap, make_splits
+from dpdl.prototypes import mgp_realize
+from dpdl.scoring import anomaly_score
 from dpdl.training import TrainConfig, train
 
 from test_training import tiny_config, tiny_dataset, tiny_split
@@ -70,33 +71,17 @@ class TestAuc:
             auc([1.0, 2.0, 3.0], [0, 1])
 
 
-class TestThreadCap:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("DPDL_THREADS", "3")
-        assert thread_cap() == 3
-
-    def test_default_is_positive(self, monkeypatch):
-        monkeypatch.delenv("DPDL_THREADS", raising=False)
-        assert thread_cap() >= 1
-
-    @pytest.mark.parametrize("bad", ["0", "-2", "two", "1.5", ""])
-    def test_rejects_bad_values(self, monkeypatch, bad):
-        monkeypatch.setenv("DPDL_THREADS", bad)
-        with pytest.raises(ValidationError):
-            thread_cap()
-
-
 class TestScoreDataset:
-    def test_threaded_scores_match_serial(self, monkeypatch):
-        # 80 items crosses the threading threshold.
+    def test_rows_equal_per_item_anomaly_score(self):
         ds = tiny_dataset(n_normal=70, n_anomaly=10)
         ckpt = train(ds, tiny_split(ds), tiny_config(epochs=1)).checkpoint
-        monkeypatch.setenv("DPDL_THREADS", "1")
-        serial = score_dataset(ckpt, ds)
-        monkeypatch.setenv("DPDL_THREADS", "4")
-        threaded = score_dataset(ckpt, ds)
-        assert serial == threaded
-        assert len(serial) == len(ds)
+        rows = score_dataset(ckpt, ds)
+        mgp = mgp_realize(ckpt.params)
+        scale = ckpt.config.residual_scale
+        assert len(rows) == len(ds)
+        for row, item in zip(rows, ds.items):
+            assert row == (item.source_id, item.label,
+                           anomaly_score(mgp, ckpt.heads, item, scale))
 
     def test_item_subset_and_row_shape(self):
         ds = tiny_dataset()

@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 
 import numpy as np
@@ -165,12 +166,66 @@ class TestFeatureFile:
         with pytest.raises(CorruptionError):
             read_feature_file(path)
 
+    def test_bytes_match_hand_packed_file(self, tmp_path):
+        g0 = np.arange(12, dtype=np.float32).reshape(2, 2, 3) - 5.5
+        g1 = np.linspace(-1e30, 3e-30, 12, dtype=np.float32).reshape(2, 2, 3)
+        ds = Dataset((FeatureMap(g0, LABEL_NORMAL, 0, "a"),
+                      FeatureMap(g1, LABEL_ANOMALY, PSEUDO_ANOMALY_CLASS_ID, "b")))
+        want = struct.pack("<8sIQIII", b"DPDLFEAT", 1, 2, 2, 2, 3)
+        want += struct.pack("<IB3s", 0, 0, b"\x00\x00\x00") + struct.pack("<12f", *g0.reshape(-1))
+        want += struct.pack("<IB3s", 0xFFFFFFFF, 1, b"\x00\x00\x00") + struct.pack("<12f", *g1.reshape(-1))
+        path = tmp_path / "hand.feat"
+        write_feature_file(path, ds)
+        assert path.read_bytes() == want
+        path.write_bytes(want)
+        back = read_feature_file(path)
+        assert [(it.label, it.class_id) for it in back.items] == [(0, 0), (1, 0xFFFFFFFF)]
+        assert back.items[1].grid.tobytes() == g1.tobytes()
+
+    def test_items_are_read_only_views(self, tmp_path):
+        path = tmp_path / "v.feat"
+        write_feature_file(path, small_dataset())
+        back = read_feature_file(path)
+        for item in back.items:
+            assert item.grid.dtype == np.float32
+            assert not item.grid.flags.writeable
+            assert item.grid.base is not None
+            with pytest.raises(ValueError):
+                item.grid[0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("corrupt,reason", [
+        (lambda blob, rec: blob.__setitem__(HEADER_BYTES + rec + 6, 1), "padding"),
+        (lambda blob, rec: blob.__setitem__(HEADER_BYTES + rec + 4, 2), "label 2"),
+        (lambda blob, rec: struct.pack_into("<f", blob, HEADER_BYTES + rec + RECORD_HEAD_BYTES + 8,
+                                            np.inf), "non-finite"),
+    ])
+    def test_error_names_the_first_bad_item(self, tmp_path, corrupt, reason):
+        ds = small_dataset(n=5)
+        path = tmp_path / "c.feat"
+        write_feature_file(path, ds)
+        blob = bytearray(path.read_bytes())
+        rec = RECORD_HEAD_BYTES + 2 * 2 * 3 * 4
+        corrupt(blob, 3 * rec)
+        blob[HEADER_BYTES + 4 * rec + 4] = 9  # a later item with a bad label
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CorruptionError, match=f"item 3 .*{reason}"):
+            read_feature_file(path)
+
     def test_reader_assigns_canonical_ids(self, tmp_path):
         ds = small_dataset(canonical=False)
         path = tmp_path / "ids.feat"
         write_feature_file(path, ds)
         back = read_feature_file(path)
         assert [it.source_id for it in back.items] == ["item-000000", "item-000001", "item-000002"]
+
+
+class TestSynthConfig:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(SynthConfig)
+                                       if f.type == "float"])
+    def test_rejects_non_finite_float(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            dataclasses.replace(SynthConfig(), **{field: value})
 
 
 class TestSynthGenerate:

@@ -1,11 +1,57 @@
 import numpy as np
 import pytest
+from scipy.special import logsumexp as scipy_logsumexp
 from scipy.stats import norm
 
 from conftest import random_params
 from dpdl.errors import ValidationError
-from dpdl.prototypes import (MGP, MGPParams, diag_mixture_log_density,
-                             mgp_log_density, mgp_new, mgp_realize, vq_init)
+from dpdl.prototypes import (MGP, MGPParams, _kmeans_pp_seed, diag_mixture_log_density,
+                             logsumexp, mgp_log_density, mgp_new, mgp_realize, vq_init)
+
+
+def same_bits(x, y) -> bool:
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+class TestLogsumexp:
+    def test_random_inputs_match_scipy_bit_for_bit(self, rng):
+        for _ in range(300):
+            a = rng.normal(0.0, float(rng.choice([1e-3, 1.0, 30.0])), int(rng.integers(1, 40)))
+            assert same_bits(logsumexp(a), scipy_logsumexp(a))
+
+    def test_tied_maxima(self, rng):
+        for _ in range(200):
+            a = np.round(rng.normal(size=int(rng.integers(2, 12))), 0)
+            a[rng.integers(0, a.size)] = a.max()
+            assert same_bits(logsumexp(a), scipy_logsumexp(a))
+        assert same_bits(logsumexp(np.zeros(5)), scipy_logsumexp(np.zeros(5)))
+
+    def test_large_magnitudes(self, rng):
+        for _ in range(100):
+            a = rng.normal(0.0, 1.0, 32) * 1e8 + 3e8
+            assert same_bits(logsumexp(a), scipy_logsumexp(a))
+
+    @pytest.mark.parametrize("keepdims", [False, True])
+    def test_axis_one(self, rng, keepdims):
+        a = rng.normal(0.0, 5.0, (7, 32))
+        a[2, 3] = a[2].max()
+        a[4, :] = 1.5
+        assert same_bits(logsumexp(a, axis=1, keepdims=keepdims),
+                         scipy_logsumexp(a, axis=1, keepdims=keepdims))
+        assert same_bits(logsumexp(a, axis=0), scipy_logsumexp(a, axis=0))
+
+    def test_infinite_entries(self):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            for a in ([-np.inf, -np.inf], [-np.inf, 0.0, 1.0], [np.inf, 1.0], [np.nan, 1.0]):
+                assert same_bits(logsumexp(np.array(a)), scipy_logsumexp(np.array(a)))
+
+
+class TestRealized:
+    def test_log_sigma_is_cached_log(self, rng):
+        mgp = mgp_realize(random_params(rng, 3, 4))
+        assert same_bits(mgp.log_sigma, np.log(mgp.sigma))
+        assert mgp.log_sigma is mgp.log_sigma
 
 
 class TestParams:
@@ -97,6 +143,53 @@ class TestLogDensity:
                  - 0.5 * np.sum(np.log(2 * np.pi * variances[c])) for c in range(2)]
         assert abs(diag_mixture_log_density(lw, means, variances, pt)
                    - np.logaddexp(*comps)) < 1e-12
+
+
+def direct_kmeans_pp_seed(x, k, rng):
+    """Seeding with distances summed over (N, D) differences, as a reference."""
+    n = x.shape[0]
+    codebook = np.empty((k, x.shape[1]))
+    codebook[0] = x[int(rng.integers(0, n))]
+    closest = np.sum((x - codebook[0]) ** 2, axis=1)
+    for j in range(1, k):
+        total = closest.sum()
+        if total <= 0:
+            codebook[j] = x[int(rng.integers(0, n))]
+            continue
+        idx = int(rng.choice(n, p=closest / total))
+        codebook[j] = x[idx]
+        closest = np.minimum(closest, np.sum((x - codebook[j]) ** 2, axis=1))
+    return codebook
+
+
+class TestKmeansSeed:
+    @pytest.mark.parametrize("shape", [(50, 3), (200, 64), (90, 1024)])
+    def test_matches_direct_distances(self, shape):
+        for seed in range(5):
+            x = np.random.default_rng(seed).normal(size=shape) * 2.0 + 1.0
+            got = _kmeans_pp_seed(x, 8, np.random.default_rng(seed))
+            want = direct_kmeans_pp_seed(x, 8, np.random.default_rng(seed))
+            assert np.array_equal(got, want)
+
+    def test_all_points_coincide(self, rng):
+        point = rng.normal(size=257) * 3.0 + 7.3
+        x = np.tile(point, (6, 1))
+        codebook = _kmeans_pp_seed(x, 4, np.random.default_rng(0))
+        assert np.array_equal(codebook, np.tile(point, (4, 1)))
+
+    def test_copies_of_a_codeword_are_at_distance_zero(self, rng):
+        # Three distinct points, each repeated, and more codewords than
+        # points.  At this size the expanded distance between copies rounds
+        # to nonzero values; they must count as zero, so that seeding picks
+        # the three points and then takes the all-coincide branch exactly
+        # where the direct distances do.
+        points = rng.normal(size=(3, 257)) * 3.0 + 7.3
+        x = np.repeat(points, 5, axis=0)
+        for seed in range(10):
+            got = _kmeans_pp_seed(x, 6, np.random.default_rng(seed))
+            want = direct_kmeans_pp_seed(x, 6, np.random.default_rng(seed))
+            assert len({row.tobytes() for row in got[:3]}) == 3
+            assert np.array_equal(got, want)
 
 
 class TestVQ:

@@ -161,6 +161,24 @@ class TestHeadLosses:
 
 
 class TestResidual:
+    @pytest.mark.parametrize("scale", ["std", "var"])
+    def test_equals_conditional_plan_endpoint_bit_for_bit(self, rng, scale):
+        from dpdl.bridge import conditional_plan, posterior_mode_index
+        for _ in range(10):
+            mgp = random_mgp(rng, 5, 48, epsilon=0.05)
+            grid = rng.normal(size=(4, 4, 3)).astype(np.float32)
+            cond = conditional_plan(mgp, grid.astype(np.float64).reshape(-1))
+            psi = cond.weights @ cond.means
+            c = posterior_mode_index(mgp, psi)
+            denom = np.sqrt(mgp.sigma[c]) if scale == "std" else mgp.sigma[c]
+            want = ((psi - mgp.mu[c]) / denom).reshape(grid.shape)
+            assert residual_grid(mgp, grid, scale).tobytes() == want.tobytes()
+
+    def test_rejects_non_finite_raw_grid(self, rng):
+        mgp = random_mgp(rng, 2, 4)
+        with pytest.raises(ValidationError):
+            residual_grid(mgp, np.full((2, 2, 1), np.nan))
+
     def test_zero_at_origin_single_component(self):
         # With x = 0 the endpoint equals the prototype mean exactly.
         mgp = MGP(alpha=np.array([1.0]), mu=np.full((1, 4), 0.3),

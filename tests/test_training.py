@@ -138,6 +138,13 @@ class TestTrainConfig:
         with pytest.raises(ValidationError):
             dataclasses.replace(TrainConfig(), **{field: value})
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(TrainConfig)
+                                       if f.type == "float"])
+    def test_rejects_non_finite_float(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            dataclasses.replace(TrainConfig(), **{field: value})
+
 
 class TestConfigParsing:
     def test_kv_text_basics(self):
