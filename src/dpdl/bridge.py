@@ -25,18 +25,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericError, UnsupportedError, ValidationError
-from .prototypes import MGP, diag_mixture_log_density, logsumexp, mgp_log_density
-
-_LOG_2PI = float(np.log(2.0 * np.pi))
+from .prototypes import _LOG_2PI, MGP, diag_mixture_log_density, logsumexp, mgp_log_density
 
 
 def _as_point(mgp: MGP, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.shape[0] != mgp.dim:
         raise ValidationError(f"point must have shape ({mgp.dim},), got {x.shape}")
-    if not np.all(np.isfinite(x)):
+    return _as_points(mgp, x[None, :])[0]
+
+
+def _as_points(mgp: MGP, xs: np.ndarray) -> np.ndarray:
+    xs = np.asarray(xs, dtype=np.float64)
+    if xs.ndim != 2 or xs.shape[1] != mgp.dim:
+        raise ValidationError(f"points must have shape (B, {mgp.dim}), got {xs.shape}")
+    if not np.all(np.isfinite(xs)):
         raise ValidationError("point contains non-finite values")
-    return x
+    return xs
+
+
+def _tilted_log_weights(mgp: MGP, xs: np.ndarray) -> np.ndarray:
+    e = mgp.epsilon
+    return np.log(mgp.alpha) + (xs @ mgp.mu.T) / e + ((xs * xs) @ mgp.sigma.T) / (2.0 * e * e)
 
 
 def tilted_log_weights(mgp: MGP, x: np.ndarray) -> np.ndarray:
@@ -45,14 +55,17 @@ def tilted_log_weights(mgp: MGP, x: np.ndarray) -> np.ndarray:
     Component c contributes log alpha_c + mu_c.x/eps + x.(sigma_c*x)/(2 eps^2),
     the log moment-generating function of N(mu_c, diag sigma_c) at x/eps.
     """
-    x = _as_point(mgp, x)
-    e = mgp.epsilon
-    return np.log(mgp.alpha) + (mgp.mu @ x) / e + (mgp.sigma @ (x * x)) / (2.0 * e * e)
+    return _tilted_log_weights(mgp, _as_point(mgp, x)[None, :])[0]
 
 
 def log_partition(mgp: MGP, x: np.ndarray) -> float:
     """log of the tilted-mixture normalizer at source point x."""
     return float(logsumexp(tilted_log_weights(mgp, x)))
+
+
+def mixture_mean(weights: np.ndarray, means: np.ndarray) -> np.ndarray:
+    """Weight-averaged component mean: (C,) or (B, C) weights against (C, D) means."""
+    return weights @ means
 
 
 @dataclass(frozen=True)
@@ -68,19 +81,38 @@ class CondGMM:
         return diag_mixture_log_density(np.log(self.weights), self.means, self.variances, points)
 
     def mean(self) -> np.ndarray:
-        return self.weights @ self.means
+        return mixture_mean(self.weights, self.means)
+
+
+def plan_weights(mgp: MGP, xs: np.ndarray) -> np.ndarray:
+    """Conditional-plan weights (B, C) at a batch of source points (B, D).
+
+    Row b holds the normalized tilted masses at xs[b].
+    """
+    lw = _tilted_log_weights(mgp, _as_points(mgp, xs))
+    weights = np.exp(lw - logsumexp(lw, axis=1, keepdims=True))
+    weights /= weights.sum(axis=1, keepdims=True)
+    return weights
+
+
+def plan_endpoints(mgp: MGP, weights: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Means (B, D) of the conditional plans with ``weights`` (B, C) at ``xs`` (B, D).
+
+    By linearity sum_c w_c (mu_c + sigma_c * x / eps) is
+    (w @ mu) + (w @ sigma) * x / eps, so the (B, C, D) component means are
+    never formed.
+    """
+    return mixture_mean(weights, mgp.mu) + mixture_mean(weights, mgp.sigma) * (xs / mgp.epsilon)
 
 
 def plan_weights_and_means(mgp: MGP, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Weights (C,) and component means (C, D) of the conditional plan at x.
 
-    Weights are the normalized tilted masses; component c shifts its mean
-    to mu_c + sigma_c * x / eps.
+    Weights are the normalized tilted masses (``plan_weights``); component
+    c shifts its mean to mu_c + sigma_c * x / eps.
     """
     x = _as_point(mgp, x)
-    lw = tilted_log_weights(mgp, x)
-    weights = np.exp(lw - logsumexp(lw))
-    weights = weights / weights.sum()
+    weights = plan_weights(mgp, x[None, :])[0]
     means = mgp.sigma * (x / mgp.epsilon)[None, :]
     means += mgp.mu
     return weights, means
@@ -105,26 +137,29 @@ def sample_endpoint(cond: CondGMM, rng: np.random.Generator | None = None) -> np
     then a Gaussian draw.
     """
     if rng is None:
-        return cond.weights @ cond.means
+        return cond.mean()
     c = int(rng.choice(cond.weights.shape[0], p=cond.weights))
     return cond.means[c] + np.sqrt(cond.variances[c]) * rng.standard_normal(cond.means.shape[1])
 
 
-def posterior_mode_index(mgp: MGP, psi: np.ndarray) -> int:
-    """Index of the component whose density is largest at psi.
+def posterior_mode_indices(mgp: MGP, psis: np.ndarray) -> np.ndarray:
+    """Per row of psis (B, D), the index of the component densest there.
 
-    Mixture weights are deliberately ignored; ties resolve to the lowest
-    index.
+    Minimizes sum_d (psi - mu)^2 / sigma + log sigma, expanded as
+    psi^2 @ (1/sigma)^T - 2 psi @ (mu/sigma)^T + mode_const, so only
+    (B, C) arrays are built.  Mixture weights are deliberately ignored;
+    ties resolve to the lowest index.
     """
-    psi = _as_point(mgp, psi)
-    # (psi - mu)^2 / sigma + log sigma, in one buffer: the scorer calls this
-    # once per item and fresh (C, D) temporaries cost more than the arithmetic.
-    terms = psi[None, :] - mgp.mu
-    np.multiply(terms, terms, out=terms)
-    np.divide(terms, mgp.sigma, out=terms)
-    np.add(terms, mgp.log_sigma, out=terms)
-    scores = -0.5 * np.sum(terms, axis=1)
-    return int(np.argmax(scores))
+    psis = _as_points(mgp, psis)
+    energy = (psis * psis) @ mgp.inv_sigma.T
+    energy -= 2.0 * (psis @ mgp.mu_over_sigma.T)
+    energy += mgp.mode_const
+    return np.argmin(energy, axis=1)
+
+
+def posterior_mode_index(mgp: MGP, psi: np.ndarray) -> int:
+    """posterior_mode_indices at a single point."""
+    return int(posterior_mode_indices(mgp, _as_point(mgp, psi)[None, :])[0])
 
 
 def _posterior_terms(mgp: MGP, xs: np.ndarray, t: float):
@@ -134,8 +169,8 @@ def _posterior_terms(mgp: MGP, xs: np.ndarray, t: float):
     """
     e = mgp.epsilon
     tau = e * (1.0 - t)
-    prec = t / tau + 1.0 / mgp.sigma                       # (C, D)
-    lin = xs[:, None, :] / tau + (mgp.mu / mgp.sigma)[None, :, :]   # (B, C, D)
+    prec = t / tau + mgp.inv_sigma                         # (C, D)
+    lin = xs[:, None, :] / tau + mgp.mu_over_sigma[None, :, :]      # (B, C, D)
     means = lin / prec[None, :, :]
     log_resp = (
         np.log(mgp.alpha)[None, :]

@@ -12,6 +12,7 @@ import sys
 import time
 from pathlib import Path
 
+from .atomic import atomic_open
 from .errors import DpdlError, NumericError, ValidationError
 from .evaluation import format_report, run_experiment, score_dataset, write_report
 from .features import (make_splits, parse_synth_config, read_feature_file,
@@ -113,7 +114,8 @@ def _cmd_train(args) -> int:
     result = train(dataset, split, config)
     save_checkpoint(args.out, result.checkpoint)
     log_path = Path(str(args.out) + ".log.csv")
-    log_path.write_text(format_training_log(result.log), encoding="utf-8")
+    with atomic_open(log_path, encoding="utf-8") as fh:
+        fh.write(format_training_log(result.log))
     print(f"trained {config.epochs} epochs in {time.monotonic() - started:.1f}s")
     print(f"checkpoint: {args.out}")
     print(f"training log: {log_path}")

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_open
 from .errors import UndefinedMetricError, ValidationError
 from .features import Dataset, make_splits
 from .prototypes import mgp_realize, vq_init
@@ -142,12 +143,14 @@ def format_report(report: Report) -> str:
 def write_report(path: str | Path, report: Report) -> Path:
     """Write the text report and a CSV sibling at ``<path>.csv``; returns the sibling."""
     path = Path(path)
-    path.write_text(format_report(report), encoding="utf-8")
+    with atomic_open(path, encoding="utf-8") as fh:
+        fh.write(format_report(report))
     sibling = Path(str(path) + ".csv")
     rows = ["run,seed,auc"]
     for k, (seed, value) in enumerate(zip(report.run_seeds, report.aucs)):
         rows.append(f"{k},{seed},{value:.17g}")
     rows.append(f"mean,,{report.mean_auc:.17g}")
     rows.append(f"std,,{report.std_auc:.17g}")
-    sibling.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    with atomic_open(sibling, encoding="utf-8") as fh:
+        fh.write("\n".join(rows) + "\n")
     return sibling

@@ -30,6 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_open
 from .configio import check_finite_floats, coerce_fields, parse_kv_file
 from .errors import CorruptionError, FormatError, ProtocolError, ValidationError
 
@@ -157,9 +158,9 @@ def write_feature_file(path: str | Path, dataset: Dataset) -> None:
     records["label"] = [item.label for item in dataset.items]
     for i, item in enumerate(dataset.items):
         records["grid"][i] = item.grid
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, len(dataset), h, w, d))
-        records.tofile(fh)
+        fh.write(records.view(np.uint8))
 
 
 def read_feature_file(path: str | Path) -> Dataset:

@@ -35,9 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, ValidationError
-from .prototypes import MGP, MGPParams, logsumexp, mgp_realize
-
-_LOG_2PI = float(np.log(2.0 * np.pi))
+from .prototypes import _LOG_2PI, MGP, MGPParams, logsumexp, mgp_realize
 
 
 @dataclass(frozen=True)
@@ -105,7 +103,7 @@ def _partition_term(mgp: MGP, batch: np.ndarray):
 def _self_likelihood(mgp: MGP):
     """S and the responsibilities q[c, k] of component k at mean c, shape (C, C)."""
     mu = mgp.mu
-    inv_sigma = 1.0 / mgp.sigma
+    inv_sigma = mgp.inv_sigma
     # sum_d (mu_cd - mu_kd)^2 / sigma_kd, expanded; zero on the diagonal.
     sq = (
         (mu * mu) @ inv_sigma.T
@@ -133,7 +131,7 @@ def _self_likelihood_grads(mgp: MGP, q: np.ndarray):
     """
     mu = mgp.mu
     c = mgp.n_components
-    inv_sigma = 1.0 / mgp.sigma
+    inv_sigma = mgp.inv_sigma
     q_col = q.sum(axis=0)                                   # sum over evaluation points
     q_off = q.copy()
     np.fill_diagonal(q_off, 0.0)

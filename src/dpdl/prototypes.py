@@ -107,6 +107,22 @@ class MGP:
         """log(sigma), computed once per realized mixture."""
         return np.log(self.sigma)
 
+    @functools.cached_property
+    def inv_sigma(self) -> np.ndarray:
+        """1 / sigma, computed once per realized mixture."""
+        return 1.0 / self.sigma
+
+    @functools.cached_property
+    def mu_over_sigma(self) -> np.ndarray:
+        """mu / sigma, computed once per realized mixture."""
+        return self.mu / self.sigma
+
+    @functools.cached_property
+    def mode_const(self) -> np.ndarray:
+        """Per component, sum_d mu^2 / sigma + log sigma: the part of
+        sum_d (psi - mu)^2 / sigma + log sigma that does not depend on psi."""
+        return np.sum(self.mu * self.mu_over_sigma + self.log_sigma, axis=1)
+
 
 def mgp_new(init, epsilon: float) -> MGPParams:
     """Fresh parameters: uniform weights, unit variances, means = codebook.

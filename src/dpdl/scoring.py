@@ -7,9 +7,10 @@ at least one cell), while the normality head scores the mean cell vector.
 The final anomaly score adds the two pooled head outputs and subtracts
 the normality output.
 
-Head losses are binary cross-entropy on logits; their gradients flow only
-through the selected top-K cells, with ties broken toward lower flat
-indices so training is deterministic.
+Head losses are binary cross-entropy on logits, averaged over a
+(B, H, W, d) batch in one call; their gradients flow only through the
+selected top-K cells, with ties broken toward lower flat indices so
+training is deterministic.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .bridge import plan_weights_and_means, posterior_mode_index
+from .atomic import atomic_open
+from .bridge import plan_endpoints, plan_weights, posterior_mode_indices
 from .errors import ValidationError
 from .features import FeatureMap
 from .prototypes import MGP
@@ -75,6 +77,25 @@ def _grid_of(fm) -> np.ndarray:
     return grid.astype(np.float64, copy=False)
 
 
+def _stack_of(fms) -> np.ndarray:
+    """A (B, H, W, d) float64 stack; one grid or FeatureMap is the stack of one."""
+    if isinstance(fms, FeatureMap) or np.ndim(fms) == 3:
+        return _grid_of(fms)[None]
+    grids = np.asarray(fms)
+    if grids.ndim != 4:
+        raise ValidationError(f"expected an (H, W, d) grid or a (B, H, W, d) stack, got shape {grids.shape}")
+    return grids.astype(np.float64, copy=False)
+
+
+def _labelled_stack(fms, labels) -> tuple[np.ndarray, np.ndarray]:
+    """``_stack_of(fms)`` and its labels as a (B,) vector; a scalar label goes with one grid."""
+    grids = _stack_of(fms)
+    labels = np.reshape(labels, -1)
+    if labels.shape != grids.shape[:1]:
+        raise ValidationError(f"need one label per grid: {grids.shape[0]} grids, {labels.shape[0]} labels")
+    return grids, labels
+
+
 def pixel_scores(head: LinearHead, fm) -> np.ndarray:
     """Affine score of every cell; accepts a FeatureMap or a raw grid."""
     grid = _grid_of(fm)
@@ -84,11 +105,12 @@ def pixel_scores(head: LinearHead, fm) -> np.ndarray:
 
 
 def _topk_flat_indices(flat: np.ndarray, fraction: float) -> np.ndarray:
+    """Per row of flat (..., N), the indices of its K largest entries, ties to the lowest index."""
     if not 0.0 < fraction <= 1.0:
         raise ValidationError(f"fraction must lie in (0, 1], got {fraction}")
-    k = max(1, int(np.floor(fraction * flat.shape[0])))
-    order = np.argsort(-flat, kind="stable")
-    return order[:k]
+    k = max(1, int(np.floor(fraction * flat.shape[-1])))
+    order = np.argsort(-flat, axis=-1, kind="stable")
+    return order[..., :k]
 
 
 def topk_mean(scores: np.ndarray, fraction: float) -> float:
@@ -100,18 +122,20 @@ def topk_mean(scores: np.ndarray, fraction: float) -> float:
     return float(np.mean(flat[idx]))
 
 
+def _bce(z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise stable binary cross-entropy on logits and its derivative in z."""
+    if not np.all((y == 0) | (y == 1)):
+        raise ValidationError(f"labels must be 0 or 1, got {y}")
+    e = np.exp(-np.abs(z))
+    loss = np.maximum(z, 0.0) - z * y + np.log1p(e)
+    sig = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return loss, sig - y
+
+
 def bce_with_logits(z: float, y: int) -> tuple[float, float]:
     """Numerically stable binary cross-entropy and its derivative in z."""
-    if y not in (0, 1):
-        raise ValidationError(f"label must be 0 or 1, got {y}")
-    z = float(z)
-    loss = max(z, 0.0) - z * y + np.log1p(np.exp(-abs(z)))
-    if z >= 0:
-        sig = 1.0 / (1.0 + np.exp(-z))
-    else:
-        ez = np.exp(z)
-        sig = ez / (1.0 + ez)
-    return float(loss), float(sig - y)
+    loss, dz = _bce(np.float64(z), np.asarray(y))
+    return float(loss), float(dz)
 
 
 @dataclass(frozen=True)
@@ -123,28 +147,38 @@ class HeadLoss:
     grad_b: np.ndarray
 
 
-def _pooled_bce(head: LinearHead, grid: np.ndarray, label: int, fraction: float) -> HeadLoss:
-    scores = grid @ head.w + head.b[0]
-    flat = scores.reshape(-1)
-    idx = _topk_flat_indices(flat, fraction)
-    z = float(np.mean(flat[idx]))
-    loss, dz = bce_with_logits(z, label)
-    cells = grid.reshape(-1, grid.shape[2])[idx]
-    return HeadLoss(value=loss, grad_w=dz * cells.mean(axis=0), grad_b=np.array([dz]))
+def _mean_bce(z: np.ndarray, labels: np.ndarray, inputs: np.ndarray) -> HeadLoss:
+    """Batch-mean BCE of logits z (B,), where z_b = inputs[b] @ w + b."""
+    loss, dz = _bce(z, labels)
+    return HeadLoss(value=float(np.mean(loss)), grad_w=np.mean(dz[:, None] * inputs, axis=0),
+                    grad_b=np.array([np.mean(dz)]))
 
 
-def head_loss_anomaly(heads: ScoringHeads, fm, label: int) -> HeadLoss:
-    """BCE of the top-K pooled anomaly-head score against the label."""
-    return _pooled_bce(heads.anomaly, _grid_of(fm), label, heads.topk_fraction)
+def _pooled_bce(head: LinearHead, grids: np.ndarray, labels: np.ndarray, fraction: float) -> HeadLoss:
+    b, h, w, d = grids.shape
+    cells = grids.reshape(b, h * w, d)
+    flat = cells @ head.w + head.b[0]                        # (B, H*W)
+    idx = _topk_flat_indices(flat, fraction)                 # (B, K)
+    z = np.mean(np.take_along_axis(flat, idx, axis=1), axis=1)
+    top = np.take_along_axis(cells, idx[:, :, None], axis=1)  # (B, K, d)
+    return _mean_bce(z, labels, top.mean(axis=1))
 
 
-def head_loss_normal(heads: ScoringHeads, fm, label: int) -> HeadLoss:
-    """BCE of the normality head applied to the mean cell vector."""
-    grid = _grid_of(fm)
-    mean_cell = grid.reshape(-1, grid.shape[2]).mean(axis=0)
-    z = float(mean_cell @ heads.normal.w + heads.normal.b[0])
-    loss, dz = bce_with_logits(z, label)
-    return HeadLoss(value=loss, grad_w=dz * mean_cell, grad_b=np.array([dz]))
+def head_loss_anomaly(heads: ScoringHeads, fms, labels) -> HeadLoss:
+    """Batch-mean BCE of the top-K pooled anomaly-head scores against the labels.
+
+    ``fms`` is a (B, H, W, d) stack with (B,) labels, or one grid or
+    FeatureMap with a scalar label.
+    """
+    grids, labels = _labelled_stack(fms, labels)
+    return _pooled_bce(heads.anomaly, grids, labels, heads.topk_fraction)
+
+
+def head_loss_normal(heads: ScoringHeads, fms, labels) -> HeadLoss:
+    """Batch-mean BCE of the normality head applied to each item's mean cell vector."""
+    grids, labels = _labelled_stack(fms, labels)
+    mean_cells = grids.reshape(grids.shape[0], -1, grids.shape[3]).mean(axis=1)
+    return _mean_bce(mean_cells @ heads.normal.w + heads.normal.b[0], labels, mean_cells)
 
 
 def residual_grid(mgp: MGP, fm, residual_scale: str = "std") -> np.ndarray:
@@ -154,27 +188,30 @@ def residual_grid(mgp: MGP, fm, residual_scale: str = "std") -> np.ndarray:
     prototype is the component with the highest unweighted density there.
     The gap is divided elementwise by that component's standard deviation
     (or variance when ``residual_scale`` is "var") and reshaped onto the
-    item's grid.
+    item's grid.  ``fm`` is one grid or FeatureMap, or a (B, H, W, d)
+    stack, which gives a stack of residual grids.
     """
     if residual_scale not in RESIDUAL_SCALES:
         raise ValidationError(f"residual_scale must be one of {RESIDUAL_SCALES}, got {residual_scale!r}")
-    grid = _grid_of(fm)
-    x = grid.reshape(-1)
-    weights, means = plan_weights_and_means(mgp, x)
-    psi = weights @ means
-    c = posterior_mode_index(mgp, psi)
+    grids = _stack_of(fm)
+    xs = grids.reshape(grids.shape[0], -1)
+    psis = plan_endpoints(mgp, plan_weights(mgp, xs), xs)
+    c = posterior_mode_indices(mgp, psis)
     denom = np.sqrt(mgp.sigma[c]) if residual_scale == "std" else mgp.sigma[c]
-    return ((psi - mgp.mu[c]) / denom).reshape(grid.shape)
+    out = ((psis - mgp.mu[c]) / denom).reshape(grids.shape)
+    return out if np.ndim(fm) == 4 else out[0]
 
 
-def head_loss_residual(heads: ScoringHeads, mgp: MGP, fm, label: int,
+def head_loss_residual(heads: ScoringHeads, mgp: MGP, fms, labels,
                        residual_scale: str = "std") -> HeadLoss:
-    """BCE of the top-K pooled residual-head score against the label.
+    """Batch-mean BCE of the top-K pooled residual-head scores against the labels.
 
-    Gradients are taken with respect to the head only; the residual grid
-    is treated as a fixed input.
+    Gradients are taken with respect to the head only; the residual grids
+    are treated as fixed inputs.
     """
-    return _pooled_bce(heads.residual, residual_grid(mgp, fm, residual_scale), label, heads.topk_fraction)
+    grids, labels = _labelled_stack(fms, labels)
+    return _pooled_bce(heads.residual, residual_grid(mgp, grids, residual_scale), labels,
+                       heads.topk_fraction)
 
 
 def anomaly_score(mgp: MGP, heads: ScoringHeads, fm, residual_scale: str = "std") -> float:
@@ -190,7 +227,7 @@ def anomaly_score(mgp: MGP, heads: ScoringHeads, fm, residual_scale: str = "std"
 
 def write_scores_csv(path: str | Path, rows) -> None:
     """Write (source_id, label, score) rows; scores keep 17 significant digits."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path, newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["source_id", "label", "score"])
         for source_id, label, score in rows:

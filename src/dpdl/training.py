@@ -3,10 +3,12 @@
 One optimizer step per iteration updates the prototype parameters and the
 three scoring heads jointly.  Batches mix sampled normal items, the
 observed training anomalies (all of them while there are at most ten), and
-rectangle-paste pseudo-anomalies.  The dispersion loss is computed on the
-unit-normalized batch features and contributes to the reported total;
-gradients flow into the prototype parameters only through the two
-prototype losses, and into each head only through its own loss.
+rectangle-paste pseudo-anomalies; a step stacks them into one
+(B, H, W, d) array and makes one call per loss over it.  The dispersion
+loss is computed on the unit-normalized batch features and contributes to
+the reported total; gradients flow into the prototype parameters only
+through the two prototype losses, and into each head only through its own
+loss.
 
 Checkpoints are a little-endian binary container (magic ``DPDLCKPT``)
 holding the config, all parameters, optimizer state, and the exact random
@@ -23,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_open
 from .configio import check_finite_floats, coerce_fields, parse_kv_file
 from .errors import CorruptionError, FormatError, NumericError, ValidationError
 from .features import Dataset, SplitPlan, cutmix_pseudo_anomaly
@@ -255,34 +258,19 @@ def train(dataset: Dataset, split: SplitPlan, config: TrainConfig,
             batch_fms, batch_labels, n_normal = _draw_batch(
                 items, normal_pool, anomaly_pool, config.batch_size, n_pseudo, rng)
             mgp = mgp_realize(params)
+            grids = np.stack([fm.grid for fm in batch_fms], dtype=np.float64)
+            labels = np.array(batch_labels)
+            ha = head_loss_anomaly(heads, grids, labels)
+            hn = head_loss_normal(heads, grids, labels)
+            hr = head_loss_residual(heads, mgp, grids, labels, residual_scale=config.residual_scale)
+            l_ma, l_mn, l_mr = ha.value, hn.value, hr.value
 
-            grads = {k: np.zeros_like(v) for k, v in pdict.items()}
-            l_ma = l_mn = l_mr = 0.0
             count = len(batch_fms)
-            for fm, y in zip(batch_fms, batch_labels):
-                ha = head_loss_anomaly(heads, fm, y)
-                hn = head_loss_normal(heads, fm, y)
-                hr = head_loss_residual(heads, mgp, fm, y, config.residual_scale)
-                l_ma += ha.value
-                l_mn += hn.value
-                l_mr += hr.value
-                grads["w_a"] += ha.grad_w
-                grads["b_a"] += ha.grad_b
-                grads["w_n"] += hn.grad_w
-                grads["b_n"] += hn.grad_b
-                grads["w_r"] += hr.grad_w
-                grads["b_r"] += hr.grad_b
-            l_ma /= count
-            l_mn /= count
-            l_mr /= count
-            for key in ("w_a", "b_a", "w_n", "b_n", "w_r", "b_r"):
-                grads[key] /= count
-
-            flats = np.stack([fm.flat() for fm in batch_fms])
+            flats = grids.reshape(count, -1)
             dpl = loss_dpl(params, flats[:n_normal], flats[n_normal:] if count > n_normal else None)
-            grads["a"] += dpl.grad_a
-            grads["m"] += dpl.grad_m
-            grads["s"] += dpl.grad_s
+            grads = {"a": dpl.grad_a, "m": dpl.grad_m, "s": dpl.grad_s,
+                     "w_a": ha.grad_w, "b_a": ha.grad_b, "w_n": hn.grad_w, "b_n": hn.grad_b,
+                     "w_r": hr.grad_w, "b_r": hr.grad_b}
 
             units = np.stack([unitize(x) for x in flats])
             dfl = loss_dfl(units, config.kappa)
@@ -447,7 +435,8 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
         w.array(ckpt.opt.exp_avg_sq[key])
     _write_rng_state(w, ckpt.rng_state)
     w.u64(ckpt.epoch)
-    Path(path).write_bytes(bytes(w.buf))
+    with atomic_open(path, "wb") as fh:
+        fh.write(w.buf)
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:

@@ -160,19 +160,138 @@ class TestHeadLosses:
         assert np.allclose(out.grad_w, dz * np.array([3.0]), atol=1e-12)
 
 
+class TestBatchedHeadLosses:
+    def tied_batch(self, rng):
+        # Values on a 0.5 lattice with a small head weight give exact score
+        # ties inside items; items 0 and 3 are identical.
+        grids = np.round(2.0 * rng.normal(size=(6, 3, 3, 4))) / 2.0
+        grids[3] = grids[0]
+        grids[5] = 0.0
+        labels = np.array([0, 1, 1, 0, 1, 0])
+        return grids, labels
+
+    def test_equal_mean_of_per_item_calls(self, rng):
+        mgp = random_mgp(rng, 3, 36, epsilon=0.7)
+        grids, labels = self.tied_batch(rng)
+        heads = random_heads(rng, 4, topk_fraction=0.25)
+        heads.anomaly.w[:] = [1.0, 0.0, 0.5, 0.0]
+        cases = [
+            lambda g, y: head_loss_anomaly(heads, g, y),
+            lambda g, y: head_loss_normal(heads, g, y),
+            lambda g, y: head_loss_residual(heads, mgp, g, y, "std"),
+        ]
+        for loss in cases:
+            batch = loss(grids, labels)
+            parts = [loss(g, int(y)) for g, y in zip(grids, labels)]
+            want_value = np.mean([p.value for p in parts])
+            want_w = np.mean([p.grad_w for p in parts], axis=0)
+            want_b = np.mean([p.grad_b for p in parts], axis=0)
+            assert batch.value == pytest.approx(want_value, rel=1e-12)
+            assert np.allclose(batch.grad_w, want_w, rtol=1e-12, atol=1e-12 * np.max(np.abs(want_w)))
+            assert batch.grad_b[0] == pytest.approx(want_b[0], rel=1e-12)
+
+    def test_ties_pick_lowest_flat_index_per_item(self):
+        heads = ScoringHeads.zeros(1, topk_fraction=0.25)
+        grids = np.zeros((2, 2, 2, 1))
+        grids[0, 0, 0, 0] = 3.0
+        grids[1, 1, 1, 0] = 3.0
+        out = head_loss_anomaly(heads, grids, np.array([0, 0]))
+        # every score ties at b = 0, so each item pools its flat index 0
+        _, dz = bce_with_logits(0.0, 0)
+        assert np.allclose(out.grad_w, dz * np.array([1.5]), atol=1e-12)
+
+    def test_label_count_must_match(self, rng):
+        heads = ScoringHeads.zeros(2)
+        grids = rng.normal(size=(3, 2, 2, 2))
+        with pytest.raises(ValidationError, match="one label per grid"):
+            head_loss_anomaly(heads, grids, np.array([0, 1]))
+        with pytest.raises(ValidationError):
+            head_loss_normal(heads, grids, np.array([0, 1, 2]))
+
+
 class TestResidual:
     @pytest.mark.parametrize("scale", ["std", "var"])
     def test_equals_conditional_plan_endpoint_bit_for_bit(self, rng, scale):
+        # The endpoint is evaluated as (w @ mu) + (w @ sigma) * (x / eps), the
+        # plan's mean by linearity.  At epsilon = 5 the plans are not one-hot,
+        # so this order is what is pinned.
         from dpdl.bridge import conditional_plan, posterior_mode_index
-        for _ in range(10):
-            mgp = random_mgp(rng, 5, 48, epsilon=0.05)
+        for epsilon in [0.05] * 10 + [5.0] * 10:
+            mgp = random_mgp(rng, 5, 48, epsilon=epsilon)
             grid = rng.normal(size=(4, 4, 3)).astype(np.float32)
-            cond = conditional_plan(mgp, grid.astype(np.float64).reshape(-1))
-            psi = cond.weights @ cond.means
+            x = grid.astype(np.float64).reshape(-1)
+            w = conditional_plan(mgp, x).weights
+            psi = w @ mgp.mu + (w @ mgp.sigma) * (x / epsilon)
             c = posterior_mode_index(mgp, psi)
             denom = np.sqrt(mgp.sigma[c]) if scale == "std" else mgp.sigma[c]
             want = ((psi - mgp.mu[c]) / denom).reshape(grid.shape)
             assert residual_grid(mgp, grid, scale).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("scale", ["std", "var"])
+    def test_batched_rows_match_per_item(self, rng, scale):
+        # A row of a (B, D) @ (D, C) product rounds differently from the same
+        # (1, D) @ (D, C) product, and the tilted logits reach |x|^2 sigma / eps^2,
+        # so batched plan weights differ from per-item ones in the last bits
+        # of the logits' size: 1e-12 of the grid's scale covers that.
+        for epsilon in (0.05, 0.5, 5.0):
+            for _ in range(5):
+                mgp = random_mgp(rng, 6, 48, epsilon=epsilon)
+                grids = rng.normal(size=(7, 4, 4, 3))
+                batch = residual_grid(mgp, grids, scale)
+                per_item = np.stack([residual_grid(mgp, g, scale) for g in grids])
+                assert batch.shape == grids.shape
+                scale_ = float(np.max(np.abs(per_item)))
+                assert np.max(np.abs(batch - per_item)) <= 1e-12 * scale_
+
+    def test_batch_builds_nothing_of_shape_b_c_d(self, rng):
+        import tracemalloc
+        b, c, h, w, d = 16, 32, 8, 8, 128
+        mgp = random_mgp(rng, c, h * w * d, epsilon=1e-3)
+        grids = rng.normal(size=(b, h, w, d))
+        heads = ScoringHeads.zeros(d)
+        # The per-mixture (C, D) caches are built once per realized mixture.
+        mgp.inv_sigma, mgp.mu_over_sigma, mgp.mode_const
+        tracemalloc.start()
+        try:
+            head_loss_residual(heads, mgp, grids, np.arange(b) % 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # A handful of (B, D) arrays; one (B, C, D) float64 array is 32 of them.
+        assert peak < 8 * b * h * w * d * 8
+
+    def test_expanded_mode_index_equals_direct_argmax(self, rng):
+        from dpdl.bridge import (plan_endpoints, plan_weights, posterior_mode_index,
+                                 posterior_mode_indices)
+
+        def direct(mgp, psi):
+            terms = (psi[None, :] - mgp.mu) ** 2 / mgp.sigma + np.log(mgp.sigma)
+            return int(np.argmax(-0.5 * np.sum(terms, axis=1)))
+
+        for _ in range(30):
+            mgp = random_mgp(rng, 8, 64)
+            psis = rng.normal(0.0, 2.0, size=(10, 64))
+            got = posterior_mode_indices(mgp, psis)
+            assert got.tolist() == [direct(mgp, p) for p in psis]
+            assert [posterior_mode_index(mgp, p) for p in psis] == got.tolist()
+        # A dense line through two prototype means crosses a decision
+        # boundary, where the answer hinges on every term of the energy.
+        for _ in range(10):
+            mgp = random_mgp(rng, 3, 2)
+            t = np.linspace(-1.0, 2.0, 2001)[:, None]
+            psis = mgp.mu[0] + t * (mgp.mu[1] - mgp.mu[0])
+            got = posterior_mode_indices(mgp, psis)
+            assert len(set(got.tolist())) > 1
+            assert got.tolist() == [direct(mgp, p) for p in psis]
+        # One-hot plans at epsilon = 1e-3: the endpoint lies ~|x| sigma / eps
+        # from every prototype, so the energies are ~1e7 and nearly cancel.
+        for _ in range(10):
+            mgp = random_mgp(rng, 8, 64, epsilon=1e-3)
+            xs = rng.normal(size=(10, 64))
+            weights = plan_weights(mgp, xs)
+            assert np.all(weights.max(axis=1) == 1.0)
+            psis = plan_endpoints(mgp, weights, xs)
+            assert posterior_mode_indices(mgp, psis).tolist() == [direct(mgp, p) for p in psis]
 
     def test_rejects_non_finite_raw_grid(self, rng):
         mgp = random_mgp(rng, 2, 4)
@@ -236,7 +355,8 @@ class TestCompositeScore:
         heads = random_heads(rng, 2)
         grid = rng.normal(size=(2, 2, 2))
         from dpdl.scoring import _pooled_bce
-        want = _pooled_bce(heads.residual, residual_grid(mgp, grid), 1, heads.topk_fraction)
+        want = _pooled_bce(heads.residual, residual_grid(mgp, grid)[None], np.array([1]),
+                           heads.topk_fraction)
         got = head_loss_residual(heads, mgp, grid, 1)
         assert got.value == want.value
         assert np.array_equal(got.grad_w, want.grad_w)

@@ -6,7 +6,9 @@ import pytest
 
 from dpdl.configio import coerce_fields, parse_kv_text
 from dpdl.errors import CorruptionError, FormatError, ValidationError
-from dpdl.features import Dataset, FeatureMap, SplitPlan
+from dpdl import training
+from dpdl.features import Dataset, FeatureMap, SplitPlan, SynthConfig, synth_generate
+from dpdl.scoring import HeadLoss
 from dpdl.training import (Checkpoint, OptimizerState, TrainConfig, _clip_global_norm,
                            _draw_batch, load_checkpoint, optimizer_step,
                            parse_train_config, save_checkpoint, train)
@@ -296,6 +298,59 @@ class TestTrainLoop:
                           protocol="general", m=0, seed=0)
         with pytest.raises(ValidationError):
             train(ds, empty, tiny_config())
+
+
+def per_item_mean(loss_fn):
+    """Reference for a batched head loss: one call per item, then the batch mean.
+
+    This is the loop a training step ran before it made one call per batch.
+    """
+    def looped(heads, *args, **kwargs):
+        *lead, grids, labels = args
+        parts = [loss_fn(heads, *lead, grid, int(y), **kwargs) for grid, y in zip(grids, labels)]
+        n = len(parts)
+        return HeadLoss(value=sum(p.value for p in parts) / n,
+                        grad_w=sum(p.grad_w for p in parts) / n,
+                        grad_b=sum(p.grad_b for p in parts) / n)
+    return looped
+
+
+class TestBatchedStep:
+    # The batched step averages over the batch with numpy's pairwise sum
+    # and evaluates each head over the whole stack, where the per-item loop
+    # summed item by item: the same arithmetic in another order, so results
+    # agree to rounding.  AdamW divides by sqrt of the second moment, which
+    # keeps a relative rounding difference in a gradient at about the same
+    # relative size in the step, and two epochs are a few dozen steps.
+    # Differences of up to 4.4e-16 of each array's largest entry were seen;
+    # 1e-12 leaves room for other BLAS builds and is far below any real
+    # change to a step.
+    @pytest.mark.parametrize("case", ["tiny", "synth"])
+    def test_two_epochs_match_per_item_reference(self, monkeypatch, case):
+        if case == "tiny":
+            ds = tiny_dataset()
+            split = tiny_split(ds)
+            cfg = tiny_config()
+        else:
+            ds = synth_generate(SynthConfig(n_per_normal_cluster=20, n_per_anomaly_class=4,
+                                            anomaly_shift=0.5), seed=2)
+            normals = [i for i, fm in enumerate(ds.items) if fm.label == 0]
+            anomalies = [i for i, fm in enumerate(ds.items) if fm.label == 1]
+            split = SplitPlan(tuple(normals[:30]), tuple(anomalies[:2]), tuple(normals[30:]),
+                              protocol="general", m=2, seed=0)
+            cfg = TrainConfig(epochs=2, iters_per_epoch=10, n_prototypes=8, seed=1)
+        batched = train(ds, split, cfg).checkpoint
+        for name in ("head_loss_anomaly", "head_loss_normal", "head_loss_residual"):
+            monkeypatch.setattr(training, name, per_item_mean(getattr(training, name)))
+        reference = train(ds, split, cfg).checkpoint
+        assert batched.opt.step == reference.opt.step == 2 * cfg.iters_per_epoch
+        pairs = [(batched.params.a, reference.params.a), (batched.params.m, reference.params.m),
+                 (batched.params.s, reference.params.s)]
+        for name in ("anomaly", "normal", "residual"):
+            mine, ref = getattr(batched.heads, name), getattr(reference.heads, name)
+            pairs += [(mine.w, ref.w), (mine.b, ref.b)]
+        for got, want in pairs:
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestResume:
