@@ -44,18 +44,10 @@ def _as_points(mgp: MGP, xs: np.ndarray) -> np.ndarray:
     return xs
 
 
-def _tilted_log_weights(mgp: MGP, xs: np.ndarray) -> np.ndarray:
-    e = mgp.epsilon
-    return np.log(mgp.alpha) + (xs @ mgp.mu.T) / e + ((xs * xs) @ mgp.sigma.T) / (2.0 * e * e)
-
-
 def tilted_log_weights(mgp: MGP, x: np.ndarray) -> np.ndarray:
-    """Per-component log mass of the tilted mixture, before normalization.
-
-    Component c contributes log alpha_c + mu_c.x/eps + x.(sigma_c*x)/(2 eps^2),
-    the log moment-generating function of N(mu_c, diag sigma_c) at x/eps.
-    """
-    return _tilted_log_weights(mgp, _as_point(mgp, x)[None, :])[0]
+    """Per-component log mass of the tilted mixture at x, before normalization;
+    see ``MGP.tilted_logits``."""
+    return mgp.tilted_logits(_as_point(mgp, x)[None, :])[0]
 
 
 def log_partition(mgp: MGP, x: np.ndarray) -> float:
@@ -89,7 +81,7 @@ def plan_weights(mgp: MGP, xs: np.ndarray) -> np.ndarray:
 
     Row b holds the normalized tilted masses at xs[b].
     """
-    lw = _tilted_log_weights(mgp, _as_points(mgp, xs))
+    lw = mgp.tilted_logits(_as_points(mgp, xs))
     weights = np.exp(lw - logsumexp(lw, axis=1, keepdims=True))
     weights /= weights.sum(axis=1, keepdims=True)
     return weights
@@ -105,28 +97,17 @@ def plan_endpoints(mgp: MGP, weights: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return mixture_mean(weights, mgp.mu) + mixture_mean(weights, mgp.sigma) * (xs / mgp.epsilon)
 
 
-def plan_weights_and_means(mgp: MGP, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Weights (C,) and component means (C, D) of the conditional plan at x.
-
-    Weights are the normalized tilted masses (``plan_weights``); component
-    c shifts its mean to mu_c + sigma_c * x / eps.
-    """
-    x = _as_point(mgp, x)
-    weights = plan_weights(mgp, x[None, :])[0]
-    means = mgp.sigma * (x / mgp.epsilon)[None, :]
-    means += mgp.mu
-    return weights, means
-
-
 def conditional_plan(mgp: MGP, x: np.ndarray) -> CondGMM:
     """Endpoint distribution of the coupling given source point x.
 
-    Component c keeps variance sigma_c; see plan_weights_and_means for the
-    weights and means.
+    The weights are the normalized tilted masses (``plan_weights``);
+    component c shifts its mean to mu_c + sigma_c * x / eps and keeps
+    variance sigma_c.
     """
     x = _as_point(mgp, x)
-    weights, means = plan_weights_and_means(mgp, x)
-    return CondGMM(weights=weights, means=means, variances=mgp.sigma.copy(), x=x)
+    return CondGMM(weights=plan_weights(mgp, x[None, :])[0],
+                   means=mgp.mu + mgp.sigma * (x / mgp.epsilon)[None, :],
+                   variances=mgp.sigma.copy(), x=x)
 
 
 def sample_endpoint(cond: CondGMM, rng: np.random.Generator | None = None) -> np.ndarray:
@@ -145,15 +126,12 @@ def sample_endpoint(cond: CondGMM, rng: np.random.Generator | None = None) -> np
 def posterior_mode_indices(mgp: MGP, psis: np.ndarray) -> np.ndarray:
     """Per row of psis (B, D), the index of the component densest there.
 
-    Minimizes sum_d (psi - mu)^2 / sigma + log sigma, expanded as
-    psi^2 @ (1/sigma)^T - 2 psi @ (mu/sigma)^T + mode_const, so only
-    (B, C) arrays are built.  Mixture weights are deliberately ignored;
-    ties resolve to the lowest index.
+    Minimizes sum_d (psi - mu)^2 / sigma + log sigma (``MGP.sq_distances``
+    plus the log-determinant), so only (B, C) arrays are built.  Mixture
+    weights are deliberately ignored; ties resolve to the lowest index.
     """
-    psis = _as_points(mgp, psis)
-    energy = (psis * psis) @ mgp.inv_sigma.T
-    energy -= 2.0 * (psis @ mgp.mu_over_sigma.T)
-    energy += mgp.mode_const
+    energy = mgp.sq_distances(_as_points(mgp, psis))
+    energy += mgp.sum_log_sigma
     return np.argmin(energy, axis=1)
 
 
@@ -174,9 +152,9 @@ def _posterior_terms(mgp: MGP, xs: np.ndarray, t: float):
     means = lin / prec[None, :, :]
     log_resp = (
         np.log(mgp.alpha)[None, :]
-        - 0.5 * np.sum(mgp.log_sigma, axis=1)[None, :]
+        - 0.5 * mgp.sum_log_sigma[None, :]
         - 0.5 * np.sum(np.log(prec), axis=1)[None, :]
-        - 0.5 * np.sum(mgp.mu * mgp.mu / mgp.sigma, axis=1)[None, :]
+        - 0.5 * mgp.sum_mu_mu_over_sigma[None, :]
         + 0.5 * np.sum(lin * lin / prec[None, :, :], axis=2)
     )
     log_resp = log_resp - logsumexp(log_resp, axis=1, keepdims=True)

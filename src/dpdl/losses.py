@@ -15,10 +15,12 @@ the prototype means.  A training step adds the two, so S cancels exactly
 whenever the batch holds anomalies, and with pseudo-anomalies in every
 default batch that is every step: what is descended is P_n - P_a, normal
 partitions against anomalous ones.  S acts only on batches of normals
-alone.  ``loss_dpl`` computes the step's sum once and skips S's gradient
-when it cancels; S's value is still computed for the log.
+alone.  ``loss_dpl`` computes the step's sum once, on the mixture the
+step has already realized, and skips S's gradient when it cancels; S's
+value is still computed for the log.
 
-Every mixture quadratic is written in expanded matrix-product form, so
+Every mixture quadratic comes from the realized mixture's expanded
+matrix-product forms (``MGP.tilted_logits``, ``MGP.sq_distances``), so
 memory stays O(C*D + N*D) and nothing of shape (C, C, D) or (N, C, D) is
 built.
 
@@ -70,12 +72,12 @@ class DFLLoss:
     grad: np.ndarray
 
 
-def _check_batch(params: MGPParams, batch: np.ndarray) -> np.ndarray:
+def _check_batch(mgp: MGP, batch: np.ndarray) -> np.ndarray:
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2 or batch.shape[0] < 1:
         raise ValidationError(f"batch must be a nonempty (N, D) array, got shape {batch.shape}")
-    if batch.shape[1] != params.dim:
-        raise ValidationError(f"batch dimension {batch.shape[1]} != parameter dimension {params.dim}")
+    if batch.shape[1] != mgp.dim:
+        raise ValidationError(f"batch dimension {batch.shape[1]} != prototype dimension {mgp.dim}")
     if not np.all(np.isfinite(batch)):
         raise ValidationError("batch contains non-finite values")
     return batch
@@ -83,14 +85,10 @@ def _check_batch(params: MGPParams, batch: np.ndarray) -> np.ndarray:
 
 def _partition_term(mgp: MGP, batch: np.ndarray):
     """P over the batch and its raw-parameter grads (a, m, s)."""
-    alpha, mu, sigma = mgp.alpha, mgp.mu, mgp.sigma
+    alpha, sigma = mgp.alpha, mgp.sigma
     e = mgp.epsilon
     n = batch.shape[0]
-    logits = (
-        np.log(alpha)[None, :]
-        + batch @ mu.T / e
-        + (batch * batch) @ sigma.T / (2.0 * e * e)
-    )                                                       # (N, C)
+    logits = mgp.tilted_logits(batch)                       # (N, C)
     norms = logsumexp(logits, axis=1)
     value = float(np.mean(norms))
     w = np.exp(logits - norms[:, None])                     # (N, C) responsibilities
@@ -102,19 +100,12 @@ def _partition_term(mgp: MGP, batch: np.ndarray):
 
 def _self_likelihood(mgp: MGP):
     """S and the responsibilities q[c, k] of component k at mean c, shape (C, C)."""
-    mu = mgp.mu
-    inv_sigma = mgp.inv_sigma
-    # sum_d (mu_cd - mu_kd)^2 / sigma_kd, expanded; zero on the diagonal.
-    sq = (
-        (mu * mu) @ inv_sigma.T
-        - 2.0 * mu @ (mu * inv_sigma).T
-        + np.sum(mu * mu * inv_sigma, axis=1)[None, :]
-    )
-    sq = np.maximum(sq, 0.0)
+    # sum_d (mu_cd - mu_kd)^2 / sigma_kd, clipped at 0; zero on the diagonal.
+    sq = np.maximum(mgp.sq_distances(mgp.mu), 0.0)
     np.fill_diagonal(sq, 0.0)
     energy = (
         np.log(mgp.alpha)[None, :]
-        - 0.5 * (mgp.dim * _LOG_2PI + np.sum(mgp.log_sigma, axis=1))[None, :]
+        - 0.5 * (mgp.dim * _LOG_2PI + mgp.sum_log_sigma)[None, :]
         - 0.5 * sq
     )                                                       # (c_eval, k_comp)
     norms = logsumexp(energy, axis=1)
@@ -139,7 +130,7 @@ def _self_likelihood_grads(mgp: MGP, q: np.ndarray):
     pulled = q_off.T @ mu                                   # (k, D): sum_c q[c, k] mu_c
     grad_a = q.mean(axis=0) - mgp.alpha
     grad_m = (
-        q_off @ (mu * inv_sigma) - mu * (q_off @ inv_sigma)
+        q_off @ mgp.mu_over_sigma - mu * (q_off @ inv_sigma)
         + (pulled - off_col[:, None] * mu) * inv_sigma
     ) / c
     # sum_c q[c, k] (mu_c - mu_k)^2, expanded and clipped like the distances.
@@ -156,39 +147,34 @@ def loss_dpl_normal(params: MGPParams, batch: np.ndarray) -> DPLLoss:
     """Prototype loss P - S for a batch of normal feature vectors.
 
     Descending it pulls normal mass toward the prototypes while keeping the
-    prototypes spread out.
+    prototypes spread out.  It is ``loss_dpl`` without anomalies.
     """
-    batch = _check_batch(params, batch)
-    mgp = mgp_realize(params)
-    p_value, p_grads = _partition_term(mgp, batch)
-    s_value, q = _self_likelihood(mgp)
-    return DPLLoss(p_value - s_value, *_minus(p_grads, _self_likelihood_grads(mgp, q)))
+    step = loss_dpl(mgp_realize(params), batch)
+    return DPLLoss(step.normal, step.grad_a, step.grad_m, step.grad_s)
 
 
 def loss_dpl_anomaly(params: MGPParams, batch: np.ndarray) -> DPLLoss:
     """Prototype loss S - P for a batch of anomalous feature vectors (sign-flipped)."""
-    batch = _check_batch(params, batch)
     mgp = mgp_realize(params)
-    p_value, p_grads = _partition_term(mgp, batch)
+    p_value, p_grads = _partition_term(mgp, _check_batch(mgp, batch))
     s_value, q = _self_likelihood(mgp)
     return DPLLoss(s_value - p_value, *_minus(_self_likelihood_grads(mgp, q), p_grads))
 
 
-def loss_dpl(params: MGPParams, normal: np.ndarray, anomaly: np.ndarray | None = None) -> DPLStep:
-    """loss_dpl_normal(normal) + loss_dpl_anomaly(anomaly), computed once.
+def loss_dpl(mgp: MGP, normal: np.ndarray, anomaly: np.ndarray | None = None) -> DPLStep:
+    """loss_dpl_normal(normal) + loss_dpl_anomaly(anomaly) on the realized mixture, computed once.
 
-    With anomalies the two S terms cancel, so only the two partitions are
-    differentiated; without them (``anomaly`` None) this is
-    loss_dpl_normal alone.
+    Gradients are with respect to the unconstrained parameters that
+    ``mgp`` was realized from.  With anomalies the two S terms cancel, so
+    only the two partitions are differentiated; without them (``anomaly``
+    None) this is loss_dpl_normal alone.
     """
-    normal = _check_batch(params, normal)
-    mgp = mgp_realize(params)
-    n_value, n_grads = _partition_term(mgp, normal)
+    n_value, n_grads = _partition_term(mgp, _check_batch(mgp, normal))
     s_value, q = _self_likelihood(mgp)
     if anomaly is None:
         grads = _minus(n_grads, _self_likelihood_grads(mgp, q))
         return DPLStep(n_value - s_value, 0.0, *grads)
-    a_value, a_grads = _partition_term(mgp, _check_batch(params, anomaly))
+    a_value, a_grads = _partition_term(mgp, _check_batch(mgp, anomaly))
     return DPLStep(n_value - s_value, s_value - a_value, *_minus(n_grads, a_grads))
 
 

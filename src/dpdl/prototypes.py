@@ -118,10 +118,35 @@ class MGP:
         return self.mu / self.sigma
 
     @functools.cached_property
-    def mode_const(self) -> np.ndarray:
-        """Per component, sum_d mu^2 / sigma + log sigma: the part of
-        sum_d (psi - mu)^2 / sigma + log sigma that does not depend on psi."""
-        return np.sum(self.mu * self.mu_over_sigma + self.log_sigma, axis=1)
+    def sum_log_sigma(self) -> np.ndarray:
+        """Per component, sum_d log sigma: the log-determinant of its covariance."""
+        return np.sum(self.log_sigma, axis=1)
+
+    @functools.cached_property
+    def sum_mu_mu_over_sigma(self) -> np.ndarray:
+        """Per component, sum_d mu * (mu / sigma)."""
+        return np.sum(self.mu * self.mu_over_sigma, axis=1)
+
+    def tilted_logits(self, xs: np.ndarray) -> np.ndarray:
+        """Tilted log masses (B, C) at source points xs (B, D).
+
+        Component c contributes log alpha_c + x.mu_c/eps + x.(sigma_c*x)/(2 eps^2),
+        the log moment-generating function of N(mu_c, diag sigma_c) at x/eps.
+        """
+        e = self.epsilon
+        return np.log(self.alpha) + (xs @ self.mu.T) / e + ((xs * xs) @ self.sigma.T) / (2.0 * e * e)
+
+    def sq_distances(self, ys: np.ndarray) -> np.ndarray:
+        """sum_d (y - mu_c)^2 / sigma_c (B, C) at points ys (B, D).
+
+        Expanded as y^2 @ (1/sigma)^T - 2 y @ (mu/sigma)^T + sum mu*(mu/sigma),
+        so nothing of shape (B, C, D) is built.  Cancellation can leave
+        rounding-sized negatives where y sits on a mean.
+        """
+        d2 = (ys * ys) @ self.inv_sigma.T
+        d2 -= 2.0 * (ys @ self.mu_over_sigma.T)
+        d2 += self.sum_mu_mu_over_sigma
+        return d2
 
 
 def mgp_new(init, epsilon: float) -> MGPParams:

@@ -154,13 +154,28 @@ def _mean_bce(z: np.ndarray, labels: np.ndarray, inputs: np.ndarray) -> HeadLoss
                     grad_b=np.array([np.mean(dz)]))
 
 
-def _pooled_bce(head: LinearHead, grids: np.ndarray, labels: np.ndarray, fraction: float) -> HeadLoss:
+def _topk_pooled(head: LinearHead, grids: np.ndarray, fraction: float):
+    """Per item of a (B, H, W, d) stack, the mean of its K largest cell scores
+    (B,), with the cells (B, H*W, d) and the pooled indices (B, K).  sum / K
+    is np.mean's arithmetic without its per-call overhead, which one item feels."""
     b, h, w, d = grids.shape
     cells = grids.reshape(b, h * w, d)
     flat = cells @ head.w + head.b[0]                        # (B, H*W)
     idx = _topk_flat_indices(flat, fraction)                 # (B, K)
-    z = np.mean(np.take_along_axis(flat, idx, axis=1), axis=1)
-    top = np.take_along_axis(cells, idx[:, :, None], axis=1)  # (B, K, d)
+    rows = np.arange(b)[:, None]
+    return flat[rows, idx].sum(axis=1) / idx.shape[1], cells, idx
+
+
+def _mean_cell_pooled(head: LinearHead, grids: np.ndarray):
+    """Per item of a (B, H, W, d) stack, the head's score of its mean cell
+    vector (B,), with those vectors (B, d)."""
+    mean_cells = grids.reshape(grids.shape[0], -1, grids.shape[3]).mean(axis=1)
+    return mean_cells @ head.w + head.b[0], mean_cells
+
+
+def _pooled_bce(head: LinearHead, grids: np.ndarray, labels: np.ndarray, fraction: float) -> HeadLoss:
+    z, cells, idx = _topk_pooled(head, grids, fraction)
+    top = cells[np.arange(grids.shape[0])[:, None], idx]    # (B, K, d)
     return _mean_bce(z, labels, top.mean(axis=1))
 
 
@@ -177,8 +192,8 @@ def head_loss_anomaly(heads: ScoringHeads, fms, labels) -> HeadLoss:
 def head_loss_normal(heads: ScoringHeads, fms, labels) -> HeadLoss:
     """Batch-mean BCE of the normality head applied to each item's mean cell vector."""
     grids, labels = _labelled_stack(fms, labels)
-    mean_cells = grids.reshape(grids.shape[0], -1, grids.shape[3]).mean(axis=1)
-    return _mean_bce(mean_cells @ heads.normal.w + heads.normal.b[0], labels, mean_cells)
+    z, mean_cells = _mean_cell_pooled(heads.normal, grids)
+    return _mean_bce(z, labels, mean_cells)
 
 
 def residual_grid(mgp: MGP, fm, residual_scale: str = "std") -> np.ndarray:
@@ -215,14 +230,16 @@ def head_loss_residual(heads: ScoringHeads, mgp: MGP, fms, labels,
 
 
 def anomaly_score(mgp: MGP, heads: ScoringHeads, fm, residual_scale: str = "std") -> float:
-    """Composite image-level score: pooled anomaly + pooled residual - normality."""
-    grid = _grid_of(fm)
-    s_a = topk_mean(pixel_scores(heads.anomaly, grid), heads.topk_fraction)
-    s_r = topk_mean(pixel_scores(heads.residual, residual_grid(mgp, grid, residual_scale)),
-                    heads.topk_fraction)
-    mean_cell = grid.reshape(-1, grid.shape[2]).mean(axis=0)
-    s_n = float(mean_cell @ heads.normal.w + heads.normal.b[0])
-    return s_a + s_r - s_n
+    """Composite image-level score: pooled anomaly + pooled residual - normality.
+
+    Each term is the pooled logit its head loss trains, on a stack of one.
+    """
+    grids = _grid_of(fm)[None]
+    s_a = _topk_pooled(heads.anomaly, grids, heads.topk_fraction)[0]
+    s_r = _topk_pooled(heads.residual, residual_grid(mgp, grids, residual_scale),
+                       heads.topk_fraction)[0]
+    s_n = _mean_cell_pooled(heads.normal, grids)[0]
+    return float(s_a[0] + s_r[0] - s_n[0])
 
 
 def write_scores_csv(path: str | Path, rows) -> None:

@@ -18,6 +18,7 @@ bit.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import struct
 from dataclasses import dataclass
@@ -31,8 +32,8 @@ from .errors import CorruptionError, FormatError, NumericError, ValidationError
 from .features import Dataset, SplitPlan, cutmix_pseudo_anomaly
 from .losses import loss_dfl, loss_dpl, unitize
 from .prototypes import MGPParams, mgp_new, mgp_realize, vq_init
-from .scoring import (LinearHead, ScoringHeads, head_loss_anomaly, head_loss_normal,
-                      head_loss_residual)
+from .scoring import (RESIDUAL_SCALES, LinearHead, ScoringHeads, head_loss_anomaly,
+                      head_loss_normal, head_loss_residual)
 
 CKPT_MAGIC = b"DPDLCKPT"
 CKPT_VERSION = 1
@@ -85,8 +86,8 @@ class TrainConfig:
             raise ValidationError(f"topk_fraction must lie in (0, 1], got {self.topk_fraction}")
         if not 0.0 <= self.pseudo_anomaly_rate <= 1.0:
             raise ValidationError(f"pseudo_anomaly_rate must lie in [0, 1], got {self.pseudo_anomaly_rate}")
-        if self.residual_scale not in ("std", "var"):
-            raise ValidationError(f"residual_scale must be 'std' or 'var', got {self.residual_scale!r}")
+        if self.residual_scale not in RESIDUAL_SCALES:
+            raise ValidationError(f"residual_scale must be one of {RESIDUAL_SCALES}, got {self.residual_scale!r}")
         if self.protocol not in ("general", "hard"):
             raise ValidationError(f"protocol must be 'general' or 'hard', got {self.protocol!r}")
         if self.m < 0 or self.seed < 0:
@@ -184,13 +185,15 @@ class TrainResult:
     log: tuple
 
 
+# Names of the trained arrays, in the order of the parameter and gradient
+# dicts and of the optimizer moments in a checkpoint.
+_PARAM_NAMES = ("a", "m", "s", "w_a", "b_a", "w_n", "b_n", "w_r", "b_r")
+
+
 def _param_dict(params: MGPParams, heads: ScoringHeads) -> dict:
-    return {
-        "a": params.a, "m": params.m, "s": params.s,
-        "w_a": heads.anomaly.w, "b_a": heads.anomaly.b,
-        "w_n": heads.normal.w, "b_n": heads.normal.b,
-        "w_r": heads.residual.w, "b_r": heads.residual.b,
-    }
+    return dict(zip(_PARAM_NAMES, (params.a, params.m, params.s,
+                                  heads.anomaly.w, heads.anomaly.b, heads.normal.w, heads.normal.b,
+                                  heads.residual.w, heads.residual.b)))
 
 
 def _clip_global_norm(grads: dict, max_norm: float) -> None:
@@ -212,7 +215,7 @@ def _check_split(dataset: Dataset, split: SplitPlan) -> None:
 
 
 def train(dataset: Dataset, split: SplitPlan, config: TrainConfig,
-          resume: Checkpoint | None = None, freeze_heads: bool = False) -> TrainResult:
+          resume: Checkpoint | None = None) -> TrainResult:
     """Run the optimization loop and return the final checkpoint plus log.
 
     ``resume`` continues a checkpoint whose config matches except for the
@@ -235,20 +238,13 @@ def train(dataset: Dataset, split: SplitPlan, config: TrainConfig,
         start_epoch = 0
     else:
         _check_resume(resume, config)
-        params = MGPParams(resume.params.a.copy(), resume.params.m.copy(),
-                           resume.params.s.copy(), resume.params.epsilon)
-        heads = _copy_heads(resume.heads)
-        opt = OptimizerState(
-            exp_avg={k: v.copy() for k, v in resume.opt.exp_avg.items()},
-            exp_avg_sq={k: v.copy() for k, v in resume.opt.exp_avg_sq.items()},
-            step=resume.opt.step,
-        )
+        resume = copy.deepcopy(resume)
+        params, heads, opt = resume.params, resume.heads, resume.opt
         rng = np.random.default_rng()
         rng.bit_generator.state = resume.rng_state
         start_epoch = resume.epoch
 
     pdict = _param_dict(params, heads)
-    opt_keys = [k for k in pdict if freeze_heads is False or k in ("a", "m", "s")]
     n_pseudo = int(np.floor(config.pseudo_anomaly_rate * config.batch_size))
     log_rows: list[EpochLog] = []
 
@@ -267,10 +263,9 @@ def train(dataset: Dataset, split: SplitPlan, config: TrainConfig,
 
             count = len(batch_fms)
             flats = grids.reshape(count, -1)
-            dpl = loss_dpl(params, flats[:n_normal], flats[n_normal:] if count > n_normal else None)
-            grads = {"a": dpl.grad_a, "m": dpl.grad_m, "s": dpl.grad_s,
-                     "w_a": ha.grad_w, "b_a": ha.grad_b, "w_n": hn.grad_w, "b_n": hn.grad_b,
-                     "w_r": hr.grad_w, "b_r": hr.grad_b}
+            dpl = loss_dpl(mgp, flats[:n_normal], flats[n_normal:] if count > n_normal else None)
+            grads = dict(zip(_PARAM_NAMES, (dpl.grad_a, dpl.grad_m, dpl.grad_s, ha.grad_w, ha.grad_b,
+                                           hn.grad_w, hn.grad_b, hr.grad_w, hr.grad_b)))
 
             units = np.stack([unitize(x) for x in flats])
             dfl = loss_dfl(units, config.kappa)
@@ -282,10 +277,8 @@ def train(dataset: Dataset, split: SplitPlan, config: TrainConfig,
                     f"L_Ma={l_ma} L_Mn={l_mn} L_Mr={l_mr} "
                     f"L_DPLn={dpl.normal} L_DPLa={dpl.anomaly} L_DFL={dfl.value}")
 
-            step_grads = {k: grads[k] for k in opt_keys}
-            _clip_global_norm(step_grads, GRAD_CLIP_NORM)
-            optimizer_step({k: pdict[k] for k in opt_keys}, step_grads, opt,
-                           config.learning_rate, config.weight_decay)
+            _clip_global_norm(grads, GRAD_CLIP_NORM)
+            optimizer_step(pdict, grads, opt, config.learning_rate, config.weight_decay)
 
             sums += np.array([l_ma, l_mn, l_mr, dpl.normal, dpl.anomaly, dfl.value, total])
         means = sums / config.iters_per_epoch
@@ -326,15 +319,6 @@ def _draw_batch(items, normal_pool, anomaly_pool, batch_size, n_pseudo, rng):
     return fms, labels, n_normal
 
 
-def _copy_heads(heads: ScoringHeads) -> ScoringHeads:
-    return ScoringHeads(
-        anomaly=LinearHead(heads.anomaly.w.copy(), heads.anomaly.b.copy()),
-        normal=LinearHead(heads.normal.w.copy(), heads.normal.b.copy()),
-        residual=LinearHead(heads.residual.w.copy(), heads.residual.b.copy()),
-        topk_fraction=heads.topk_fraction,
-    )
-
-
 def _check_resume(ckpt: Checkpoint, config: TrainConfig) -> None:
     for field in dataclasses.fields(TrainConfig):
         if field.name == "epochs":
@@ -349,8 +333,6 @@ def _check_resume(ckpt: Checkpoint, config: TrainConfig) -> None:
 
 # ---------------------------------------------------------------------------
 # Checkpoint serialization.
-
-_OPT_KEY_ORDER = ("a", "m", "s", "w_a", "b_a", "w_n", "b_n", "w_r", "b_r")
 
 
 class _Writer:
@@ -430,7 +412,7 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
         w.array(head.w)
         w.array(head.b)
     w.u64(ckpt.opt.step)
-    for key in _OPT_KEY_ORDER:
+    for key in _PARAM_NAMES:
         w.array(ckpt.opt.exp_avg[key])
         w.array(ckpt.opt.exp_avg_sq[key])
     _write_rng_state(w, ckpt.rng_state)
@@ -473,11 +455,9 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         topk_fraction=topk_fraction,
     )
     step = int(r.u64())
-    exp_avg = {}
-    exp_avg_sq = {}
-    for key in _OPT_KEY_ORDER:
-        exp_avg[key] = r.array()
-        exp_avg_sq[key] = r.array()
+    exp_avg, exp_avg_sq = {}, {}
+    for key in _PARAM_NAMES:
+        exp_avg[key], exp_avg_sq[key] = r.array(), r.array()
     opt = OptimizerState(exp_avg=exp_avg, exp_avg_sq=exp_avg_sq, step=step)
     rng_state = _read_rng_state(r)
     epoch = int(r.u64())

@@ -4,6 +4,13 @@ import pytest
 from dpdl.prototypes import MGP, MGPParams
 
 
+def assert_close(got, want, rtol=1e-12):
+    """Equal up to rtol times the largest magnitude involved."""
+    got, want = np.asarray(got), np.asarray(want)
+    scale = max(float(np.max(np.abs(want))), float(np.max(np.abs(got))), 1e-300)
+    assert float(np.max(np.abs(got - want))) <= rtol * scale
+
+
 def random_params(rng, n_components, dim, epsilon=1.0):
     """Random unconstrained prototype parameters for gradient checks."""
     return MGPParams(

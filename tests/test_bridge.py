@@ -100,13 +100,12 @@ class TestConditionalPlan:
 
 class TestPlanWeightsAndMeans:
     def test_is_the_conditional_plan(self, rng):
-        from dpdl.bridge import plan_weights_and_means
+        from dpdl.bridge import plan_weights
         mgp = random_mgp(rng, 4, 6, epsilon=0.3)
         x = rng.normal(size=6)
-        weights, means = plan_weights_and_means(mgp, x)
         cond = conditional_plan(mgp, x)
-        assert np.array_equal(weights, cond.weights)
-        assert np.array_equal(means, cond.means)
+        assert np.array_equal(cond.weights, plan_weights(mgp, x[None, :])[0])
+        assert np.array_equal(cond.means, mgp.mu + mgp.sigma * (x / mgp.epsilon))
         assert np.array_equal(cond.variances, mgp.sigma)
 
 

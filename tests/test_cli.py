@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import dpdl
 from dpdl.cli import main
 from dpdl.features import read_feature_file
 from dpdl.training import load_checkpoint
@@ -168,3 +174,12 @@ class TestErrorPaths:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "command" in capsys.readouterr().out
+
+
+def test_import_loads_no_scipy():
+    # The package needs numpy alone at run time; scipy is a test dependency.
+    code = "import sys, dpdl, dpdl.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=str(Path(dpdl.__file__).resolve().parent.parent))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         check=True)
+    assert out.stdout.strip() == "[]"

@@ -3,10 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import fd_check_array, random_params
+from conftest import assert_close, fd_check_array, random_params
 from dpdl.errors import DegenerateInputError, ValidationError
 from dpdl.losses import loss_dfl, loss_dpl, loss_dpl_anomaly, loss_dpl_normal, unitize
-from dpdl.prototypes import MGPParams
+from dpdl.prototypes import MGPParams, mgp_realize
 
 
 class TestDPLSpotValues:
@@ -77,13 +77,6 @@ class TestDPLGradients:
                        params.s, h=1e-7, rtol=1e-4, atol=1e-8)
 
 
-def assert_close(got, want, rtol=1e-12):
-    """Equal up to rtol times the largest magnitude involved."""
-    got, want = np.asarray(got), np.asarray(want)
-    scale = max(float(np.max(np.abs(want))), float(np.max(np.abs(got))), 1e-300)
-    assert float(np.max(np.abs(got - want))) <= rtol * scale
-
-
 class TestFusedDPL:
     @pytest.mark.parametrize("trial", range(6))
     def test_equals_sum_of_public_losses(self, trial):
@@ -92,7 +85,7 @@ class TestFusedDPL:
         params = random_params(rng, c, d, epsilon=(0.3, 1.0, 2.0)[trial % 3])
         normal = rng.normal(size=(4, d))
         anomaly = rng.normal(0.5, 1.0, (3, d))
-        step = loss_dpl(params, normal, anomaly)
+        step = loss_dpl(mgp_realize(params), normal, anomaly)
         n = loss_dpl_normal(params, normal)
         a = loss_dpl_anomaly(params, anomaly)
         assert step.normal == n.value
@@ -103,7 +96,7 @@ class TestFusedDPL:
     def test_without_anomalies_is_the_normal_loss(self, rng):
         params = random_params(rng, 6, 11, epsilon=0.8)
         normal = rng.normal(size=(5, 11))
-        step = loss_dpl(params, normal)
+        step = loss_dpl(mgp_realize(params), normal)
         n = loss_dpl_normal(params, normal)
         assert step.normal == n.value
         assert step.anomaly == 0.0
@@ -111,11 +104,11 @@ class TestFusedDPL:
             assert_close(getattr(step, name), getattr(n, name))
 
     def test_validates_both_batches(self, rng):
-        params = random_params(rng, 2, 3)
+        mgp = mgp_realize(random_params(rng, 2, 3))
         with pytest.raises(ValidationError):
-            loss_dpl(params, np.zeros((0, 3)))
+            loss_dpl(mgp, np.zeros((0, 3)))
         with pytest.raises(ValidationError):
-            loss_dpl(params, np.zeros((2, 3)), np.zeros((2, 4)))
+            loss_dpl(mgp, np.zeros((2, 3)), np.zeros((2, 4)))
 
     def test_memory_is_linear_in_prototypes_times_dimension(self):
         # The (C, C, D) form of the self-likelihood needs C*C*D*8 bytes, 67 MB
@@ -128,7 +121,7 @@ class TestFusedDPL:
         for batches in ((normal,), (normal, anomaly)):
             tracemalloc.start()
             try:
-                loss_dpl(params, *batches)
+                loss_dpl(mgp_realize(params), *batches)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

@@ -3,7 +3,7 @@ import pytest
 from scipy.special import logsumexp as scipy_logsumexp
 from scipy.stats import norm
 
-from conftest import random_params
+from conftest import assert_close, random_params
 from dpdl.errors import ValidationError
 from dpdl.prototypes import (MGP, MGPParams, _kmeans_pp_seed, diag_mixture_log_density,
                              logsumexp, mgp_log_density, mgp_new, mgp_realize, vq_init)
@@ -52,6 +52,31 @@ class TestRealized:
         mgp = mgp_realize(random_params(rng, 3, 4))
         assert same_bits(mgp.log_sigma, np.log(mgp.sigma))
         assert mgp.log_sigma is mgp.log_sigma
+        assert same_bits(mgp.sum_log_sigma, np.sum(np.log(mgp.sigma), axis=1))
+
+    # The matrix-product forms sum over D in another order than the (B, C, D)
+    # broadcast forms, so they agree to rounding: a few ulp per term over
+    # D = 64 terms is under 1e-13 of the largest entry, while a wrong
+    # coefficient or sign moves entries by a sizeable fraction of it.
+    @pytest.mark.parametrize("epsilon", [1e-3, 0.3, 2.0])
+    def test_tilted_logits_match_broadcast_form(self, rng, epsilon):
+        for _ in range(10):
+            mgp = mgp_realize(random_params(rng, 7, 64, epsilon=epsilon))
+            xs = rng.normal(size=(5, 64))[:, None, :]
+            direct = np.log(mgp.alpha) + np.sum(
+                xs * mgp.mu / epsilon + xs * mgp.sigma * xs / (2.0 * epsilon ** 2), axis=2)
+            assert_close(mgp.tilted_logits(xs[:, 0]), direct, 1e-12)
+
+    @pytest.mark.parametrize("epsilon", [1e-3, 0.3, 2.0])
+    def test_sq_distances_match_broadcast_form(self, rng, epsilon):
+        for _ in range(10):
+            mgp = mgp_realize(random_params(rng, 7, 64, epsilon=epsilon))
+            xs = rng.normal(size=(5, 64))
+            # Points near the data and the shifted means mu_c + sigma_c x/eps
+            # that one-hot conditional plans put their endpoints at.
+            for ys in (xs, mgp.mu[[0, 3, 6]] + mgp.sigma[[0, 3, 6]] * xs[:3] / epsilon):
+                direct = np.sum((ys[:, None, :] - mgp.mu) ** 2 / mgp.sigma, axis=2)
+                assert_close(mgp.sq_distances(ys), direct, 1e-12)
 
 
 class TestParams:

@@ -250,7 +250,7 @@ class TestResidual:
         grids = rng.normal(size=(b, h, w, d))
         heads = ScoringHeads.zeros(d)
         # The per-mixture (C, D) caches are built once per realized mixture.
-        mgp.inv_sigma, mgp.mu_over_sigma, mgp.mode_const
+        mgp.inv_sigma, mgp.mu_over_sigma, mgp.sum_mu_mu_over_sigma, mgp.sum_log_sigma
         tracemalloc.start()
         try:
             head_loss_residual(heads, mgp, grids, np.arange(b) % 2)

@@ -260,16 +260,6 @@ class TestTrainLoop:
         r2 = train(ds, split, tiny_config(seed=4))
         assert not np.array_equal(r1.checkpoint.params.m, r2.checkpoint.params.m)
 
-    def test_freeze_heads_keeps_heads_at_zero(self):
-        ds = tiny_dataset()
-        res = train(ds, tiny_split(ds), tiny_config(), freeze_heads=True)
-        heads = res.checkpoint.heads
-        for head in (heads.anomaly, heads.normal, heads.residual):
-            assert np.array_equal(head.w, np.zeros(D))
-            assert np.array_equal(head.b, np.zeros(1))
-        # prototype parameters did move
-        assert res.checkpoint.opt.step == 6
-
     def test_no_anomalies_and_no_pseudos_zero_that_column(self):
         ds = tiny_dataset(n_anomaly=0)
         split = tiny_split(ds, n_train_anomalies=0)
@@ -277,16 +267,30 @@ class TestTrainLoop:
         assert all(row.l_dpl_a == 0.0 for row in res.log)
 
     def test_prototype_fit_improves(self):
-        # Heads frozen and dispersion off: the trace is constant head terms
-        # plus the prototype fit, which has plenty of room to drop from the
-        # unit-variance init on 0.1-scale data.
+        # Dispersion off and normals only: the prototype fit has plenty of
+        # room to drop from the unit-variance init on 0.1-scale data.
         ds = tiny_dataset(n_anomaly=0)
         split = tiny_split(ds, n_train_anomalies=0)
         cfg = tiny_config(epochs=8, iters_per_epoch=5, batch_size=8, learning_rate=0.05,
                           lambda_=0.0, pseudo_anomaly_rate=0.0, weight_decay=0.0,
                           epsilon=1.0, n_prototypes=2)
-        res = train(ds, split, cfg, freeze_heads=True)
+        res = train(ds, split, cfg)
         assert res.log[-1].l_dpl_n < res.log[0].l_dpl_n - 0.01
+
+    def test_realizes_the_mixture_once_per_step(self, monkeypatch):
+        from dpdl import losses, prototypes
+        calls = []
+        realize = prototypes.mgp_realize
+
+        def counted(params):
+            calls.append(1)
+            return realize(params)
+        for module in (prototypes, losses, training):
+            monkeypatch.setattr(module, "mgp_realize", counted)
+        ds = tiny_dataset()
+        res = train(ds, tiny_split(ds), tiny_config(epochs=2))
+        assert res.checkpoint.opt.step == 6
+        assert len(calls) == 6
 
     def test_split_validation(self):
         ds = tiny_dataset()
