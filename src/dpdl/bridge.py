@@ -32,16 +32,7 @@ def _as_point(mgp: MGP, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.shape[0] != mgp.dim:
         raise ValidationError(f"point must have shape ({mgp.dim},), got {x.shape}")
-    return _as_points(mgp, x[None, :])[0]
-
-
-def _as_points(mgp: MGP, xs: np.ndarray) -> np.ndarray:
-    xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim != 2 or xs.shape[1] != mgp.dim:
-        raise ValidationError(f"points must have shape (B, {mgp.dim}), got {xs.shape}")
-    if not np.all(np.isfinite(xs)):
-        raise ValidationError("point contains non-finite values")
-    return xs
+    return mgp.points(x[None, :])[0]
 
 
 def tilted_log_weights(mgp: MGP, x: np.ndarray) -> np.ndarray:
@@ -81,7 +72,7 @@ def plan_weights(mgp: MGP, xs: np.ndarray) -> np.ndarray:
 
     Row b holds the normalized tilted masses at xs[b].
     """
-    lw = mgp.tilted_logits(_as_points(mgp, xs))
+    lw = mgp.tilted_logits(mgp.points(xs))
     weights = np.exp(lw - logsumexp(lw, axis=1, keepdims=True))
     weights /= weights.sum(axis=1, keepdims=True)
     return weights
@@ -130,7 +121,7 @@ def posterior_mode_indices(mgp: MGP, psis: np.ndarray) -> np.ndarray:
     plus the log-determinant), so only (B, C) arrays are built.  Mixture
     weights are deliberately ignored; ties resolve to the lowest index.
     """
-    energy = mgp.sq_distances(_as_points(mgp, psis))
+    energy = mgp.sq_distances(mgp.points(psis))
     energy += mgp.sum_log_sigma
     return np.argmin(energy, axis=1)
 
@@ -173,9 +164,7 @@ def _check_time(t: float) -> float:
 def drift_batch(mgp: MGP, xs: np.ndarray, t: float) -> np.ndarray:
     """Optimal drift evaluated at a batch of states xs with shape (B, D)."""
     t = _check_time(t)
-    xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim != 2 or xs.shape[1] != mgp.dim:
-        raise ValidationError(f"states must have shape (B, {mgp.dim}), got {xs.shape}")
+    xs = mgp.points(xs)
     log_resp, means, _ = _posterior_terms(mgp, xs, t)
     resp = np.exp(log_resp)
     posterior_mean = np.einsum("bc,bcd->bd", resp, means)
@@ -219,9 +208,7 @@ def simulate_sde_batch(mgp: MGP, x0: np.ndarray, n_steps: int,
     """
     if n_steps < 1:
         raise ValidationError(f"n_steps must be >= 1, got {n_steps}")
-    x0 = np.asarray(x0, dtype=np.float64)
-    if x0.ndim != 2 or x0.shape[1] != mgp.dim:
-        raise ValidationError(f"x0 must have shape (B, {mgp.dim}), got {x0.shape}")
+    x0 = mgp.points(x0)
     batch, dim = x0.shape
     dt = 1.0 / n_steps
     times = np.arange(n_steps + 1) / n_steps

@@ -40,7 +40,11 @@ def parse_kv_text(text: str, origin: str = "<config>") -> dict[str, str]:
 
 def parse_kv_file(path: str | Path) -> dict[str, str]:
     path = Path(path)
-    return parse_kv_text(path.read_text(encoding="utf-8"), origin=str(path))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: config is not UTF-8 text (byte {exc.start})") from None
+    return parse_kv_text(text, origin=str(path))
 
 
 def coerce_fields(cls, raw: dict[str, str], aliases: dict[str, str] | None = None) -> dict:

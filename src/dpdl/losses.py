@@ -73,13 +73,9 @@ class DFLLoss:
 
 
 def _check_batch(mgp: MGP, batch: np.ndarray) -> np.ndarray:
-    batch = np.asarray(batch, dtype=np.float64)
-    if batch.ndim != 2 or batch.shape[0] < 1:
-        raise ValidationError(f"batch must be a nonempty (N, D) array, got shape {batch.shape}")
-    if batch.shape[1] != mgp.dim:
-        raise ValidationError(f"batch dimension {batch.shape[1]} != prototype dimension {mgp.dim}")
-    if not np.all(np.isfinite(batch)):
-        raise ValidationError("batch contains non-finite values")
+    batch = mgp.points(batch)
+    if batch.shape[0] < 1:
+        raise ValidationError(f"batch must be nonempty, got shape {batch.shape}")
     return batch
 
 
@@ -179,14 +175,19 @@ def loss_dpl(mgp: MGP, normal: np.ndarray, anomaly: np.ndarray | None = None) ->
 
 
 def unitize(x: np.ndarray) -> np.ndarray:
-    """Project a vector onto the unit sphere; zero vectors are rejected."""
+    """Project a vector (D,), or each row of an (N, D) matrix, onto the unit sphere.
+
+    A row's norm comes from its BLAS dot with itself, as ``np.linalg.norm``'s
+    does for a vector, so each row keeps its bits.  Zero or non-finite rows raise.
+    """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValidationError(f"unitize expects a vector, got shape {x.shape}")
-    norm = float(np.linalg.norm(x))
-    if norm == 0.0 or not np.isfinite(norm):
+    if x.ndim not in (1, 2):
+        raise ValidationError(f"unitize expects a vector or an (N, D) matrix, got shape {x.shape}")
+    rows = np.atleast_2d(x)
+    norms = np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
+    if not np.all((norms > 0.0) & np.isfinite(norms)):
         raise DegenerateInputError("cannot unitize a zero or non-finite vector")
-    return x / norm
+    return (rows / norms[:, None]).reshape(x.shape)
 
 
 def loss_dfl(units: np.ndarray, kappa: float) -> DFLLoss:

@@ -127,6 +127,15 @@ class MGP:
         """Per component, sum_d mu * (mu / sigma)."""
         return np.sum(self.mu * self.mu_over_sigma, axis=1)
 
+    def points(self, xs: np.ndarray) -> np.ndarray:
+        """xs as a float64 (B, D) batch of finite points in this mixture's space."""
+        xs = np.asarray(xs, dtype=np.float64)
+        if xs.ndim != 2 or xs.shape[1] != self.dim:
+            raise ValidationError(f"points must have shape (B, {self.dim}), got {xs.shape}")
+        if not np.all(np.isfinite(xs)):
+            raise ValidationError("points contain non-finite values")
+        return xs
+
     def tilted_logits(self, xs: np.ndarray) -> np.ndarray:
         """Tilted log masses (B, C) at source points xs (B, D).
 

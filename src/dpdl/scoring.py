@@ -40,9 +40,11 @@ class LinearHead:
 
     def __post_init__(self):
         self.w = np.asarray(self.w, dtype=np.float64)
-        self.b = np.asarray(self.b, dtype=np.float64).reshape(1)
+        self.b = np.asarray(self.b, dtype=np.float64).reshape(-1)
         if self.w.ndim != 1 or self.w.shape[0] < 1:
             raise ValidationError(f"head weights must be a nonempty vector, got shape {self.w.shape}")
+        if self.b.shape != (1,):
+            raise ValidationError(f"head bias must hold one value, got {self.b.size}")
 
 
 @dataclass

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,12 +38,18 @@ from .scoring import (RESIDUAL_SCALES, LinearHead, ScoringHeads, head_loss_anoma
 
 CKPT_MAGIC = b"DPDLCKPT"
 CKPT_VERSION = 1
+# Per config field type: its tag in a checkpoint and the _Writer/_Reader method for its value.
+_FIELD_CODECS = {"int": (b"i", "u64"), "float": (b"f", "f64"), "str": (b"s", "text")}
 
 # At most this many observed anomalies enter a single iteration; with ten or
 # fewer available they are all used every time.
 MAX_ANOMALIES_PER_ITER = 10
 GRAD_CLIP_NORM = 10.0
 VQ_MAX_ITERS = 100
+# AdamW's moment decay rates and the stabilizer of its denominator.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 _CONFIG_ALIASES = {"lambda": "lambda_"}
 
@@ -119,29 +126,28 @@ class OptimizerState:
 
 
 def optimizer_step(params: dict, grads: dict, state: OptimizerState, learning_rate: float,
-                   weight_decay: float, beta1: float = 0.9, beta2: float = 0.999,
-                   eps_hat: float = 1e-8) -> None:
+                   weight_decay: float) -> None:
     """One in-place AdamW update over a named parameter dict.
 
-    theta <- theta - lr * (m_hat / (sqrt(v_hat) + eps_hat) + wd * theta)
-    with bias-corrected first and second moments.
+    theta <- theta - lr * (m_hat / (sqrt(v_hat) + ADAM_EPS) + wd * theta)
+    with first and second moments bias-corrected for ADAM_BETA1 and ADAM_BETA2.
     """
     if set(params) != set(grads):
         raise ValidationError(f"parameter/gradient keys differ: {sorted(params)} vs {sorted(grads)}")
     state.step += 1
-    bc1 = 1.0 - beta1 ** state.step
-    bc2 = 1.0 - beta2 ** state.step
+    bc1 = 1.0 - ADAM_BETA1 ** state.step
+    bc2 = 1.0 - ADAM_BETA2 ** state.step
     for name, theta in params.items():
         g = grads[name]
         if g.shape != theta.shape:
             raise ValidationError(f"gradient shape {g.shape} != parameter shape {theta.shape} for {name!r}")
         m = state.exp_avg[name]
         v = state.exp_avg_sq[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        update = (m / bc1) / (np.sqrt(v / bc2) + eps_hat) + weight_decay * theta
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS) + weight_decay * theta
         theta -= learning_rate * update
 
 
@@ -251,24 +257,20 @@ def train(dataset: Dataset, split: SplitPlan, config: TrainConfig,
     for epoch in range(start_epoch, config.epochs):
         sums = np.zeros(7)
         for it in range(config.iters_per_epoch):
-            batch_fms, batch_labels, n_normal = _draw_batch(
-                items, normal_pool, anomaly_pool, config.batch_size, n_pseudo, rng)
+            grids, labels = _draw_batch(items, normal_pool, anomaly_pool, config.batch_size, n_pseudo, rng)
             mgp = mgp_realize(params)
-            grids = np.stack([fm.grid for fm in batch_fms], dtype=np.float64)
-            labels = np.array(batch_labels)
             ha = head_loss_anomaly(heads, grids, labels)
             hn = head_loss_normal(heads, grids, labels)
             hr = head_loss_residual(heads, mgp, grids, labels, residual_scale=config.residual_scale)
             l_ma, l_mn, l_mr = ha.value, hn.value, hr.value
 
-            count = len(batch_fms)
-            flats = grids.reshape(count, -1)
-            dpl = loss_dpl(mgp, flats[:n_normal], flats[n_normal:] if count > n_normal else None)
+            flats = grids.reshape(len(grids), -1)
+            anomalous = flats[config.batch_size:]
+            dpl = loss_dpl(mgp, flats[:config.batch_size], anomalous if len(anomalous) else None)
             grads = dict(zip(_PARAM_NAMES, (dpl.grad_a, dpl.grad_m, dpl.grad_s, ha.grad_w, ha.grad_b,
                                            hn.grad_w, hn.grad_b, hr.grad_w, hr.grad_b)))
 
-            units = np.stack([unitize(x) for x in flats])
-            dfl = loss_dfl(units, config.kappa)
+            dfl = loss_dfl(unitize(flats), config.kappa)
 
             total = l_ma + l_mn + l_mr + dpl.normal + dpl.anomaly + config.lambda_ * dfl.value
             if not np.isfinite(total):
@@ -290,24 +292,21 @@ def train(dataset: Dataset, split: SplitPlan, config: TrainConfig,
 
 
 def _draw_batch(items, normal_pool, anomaly_pool, batch_size, n_pseudo, rng):
-    """Deterministic draw order: normals, observed anomalies, pseudo-anomalies."""
-    if len(normal_pool) >= batch_size:
-        picked = rng.choice(len(normal_pool), size=batch_size, replace=False)
-    else:
-        picked = rng.choice(len(normal_pool), size=batch_size, replace=True)
-    fms = [items[normal_pool[int(i)]] for i in picked]
-    labels = [items[normal_pool[int(i)]].label for i in picked]
-    n_normal = len(fms)
+    """One step's batch: its (B, H, W, d) float64 grid stack and (B,) labels.
 
-    if anomaly_pool:
-        if len(anomaly_pool) <= MAX_ANOMALIES_PER_ITER:
-            chosen = list(range(len(anomaly_pool)))
-        else:
-            chosen = sorted(int(i) for i in rng.choice(
-                len(anomaly_pool), size=MAX_ANOMALIES_PER_ITER, replace=False))
-        for i in chosen:
-            fms.append(items[anomaly_pool[i]])
-            labels.append(1)
+    Draw order: normals, observed anomalies (label 1), pseudo-anomalies.
+    """
+    picked = rng.choice(len(normal_pool), size=batch_size, replace=len(normal_pool) < batch_size)
+    fms = [items[normal_pool[int(i)]] for i in picked]
+    labels = [fm.label for fm in fms]
+
+    if len(anomaly_pool) <= MAX_ANOMALIES_PER_ITER:
+        chosen = range(len(anomaly_pool))
+    else:
+        chosen = sorted(int(i) for i in rng.choice(
+            len(anomaly_pool), size=MAX_ANOMALIES_PER_ITER, replace=False))
+    fms += [items[anomaly_pool[i]] for i in chosen]
+    labels += [1] * len(chosen)
 
     donor_pool = normal_pool + anomaly_pool
     for _ in range(n_pseudo):
@@ -316,7 +315,7 @@ def _draw_batch(items, normal_pool, anomaly_pool, batch_size, n_pseudo, rng):
         pseudo = cutmix_pseudo_anomaly(base, donor, rng)
         fms.append(pseudo)
         labels.append(pseudo.label)
-    return fms, labels, n_normal
+    return np.stack([fm.grid for fm in fms], dtype=np.float64), np.array(labels)
 
 
 def _check_resume(ckpt: Checkpoint, config: TrainConfig) -> None:
@@ -378,13 +377,20 @@ class _Reader:
     def f64(self): return struct.unpack("<d", self.take(8))[0]
 
     def text(self) -> str:
-        return self.take(self.u32()).decode("utf-8")
+        try:
+            return self.take(self.u32()).decode("utf-8")
+        except UnicodeDecodeError:
+            raise CorruptionError(f"{self.origin}: checkpoint text is not UTF-8") from None
 
     def array(self) -> np.ndarray:
         ndim = self.u32()
+        if ndim > 2:
+            raise CorruptionError(f"{self.origin}: {ndim}-dimensional array, not a vector or matrix")
         shape = tuple(self.u64() for _ in range(ndim))
-        count = int(np.prod(shape)) if shape else 1
-        raw = self.take(count * 8)
+        # Positive dimensions multiplied as Python ints: the payload bounds the shape before numpy sees it.
+        if 0 in shape:
+            raise CorruptionError(f"{self.origin}: empty array of shape {shape}")
+        raw = self.take(8 * math.prod(shape))
         return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
 
 
@@ -393,16 +399,9 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
     w.buf += CKPT_MAGIC
     w.u32(CKPT_VERSION)
     for field in dataclasses.fields(TrainConfig):
-        value = getattr(ckpt.config, field.name)
-        if field.type == "int":
-            w.buf += b"i"
-            w.u64(value)
-        elif field.type == "float":
-            w.buf += b"f"
-            w.f64(value)
-        else:
-            w.buf += b"s"
-            w.text(value)
+        tag, method = _FIELD_CODECS[field.type]
+        w.buf += tag
+        getattr(w, method)(getattr(ckpt.config, field.name))
     w.f64(ckpt.params.epsilon)
     w.array(ckpt.params.a)
     w.array(ckpt.params.m)
@@ -435,15 +434,10 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise FormatError(f"{path}: unsupported checkpoint version {version}")
     kwargs = {}
     for field in dataclasses.fields(TrainConfig):
-        tag = r.take(1)
-        if tag == b"i":
-            kwargs[field.name] = int(r.u64())
-        elif tag == b"f":
-            kwargs[field.name] = r.f64()
-        elif tag == b"s":
-            kwargs[field.name] = r.text()
-        else:
-            raise CorruptionError(f"{path}: bad config field tag {tag!r}")
+        tag, method = _FIELD_CODECS[field.type]
+        if r.take(1) != tag:
+            raise CorruptionError(f"{path}: bad tag for config field {field.name!r}")
+        kwargs[field.name] = getattr(r, method)()
     config = TrainConfig(**kwargs)
     epsilon = r.f64()
     params = MGPParams(r.array(), r.array(), r.array(), epsilon)

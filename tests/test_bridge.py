@@ -160,6 +160,13 @@ class TestDrift:
             got = float(drift(mgp, x, t)[0])
             assert abs(got - fd) <= 1e-5 * max(1.0, abs(fd))
 
+    def test_state_validation(self, rng):
+        mgp = random_mgp(rng, 2, 1)
+        with pytest.raises(ValidationError):
+            drift_batch(mgp, np.zeros((2, 3)), 0.5)
+        with pytest.raises(ValidationError):
+            drift_batch(mgp, np.array([[0.0], [np.inf]]), 0.5)
+
     def test_time_validation(self, rng):
         mgp = random_mgp(rng, 2, 1)
         with pytest.raises(ValidationError):
@@ -230,6 +237,8 @@ class TestSimulate:
             simulate_sde(mgp, np.zeros(1), 0, rng)
         with pytest.raises(ValidationError):
             simulate_sde_batch(mgp, np.zeros((2, 3)), 4, rng)
+        with pytest.raises(ValidationError):
+            simulate_sde_batch(mgp, np.array([[0.0], [np.nan]]), 4, rng)
 
 
 class TestQuadratureOracle:

@@ -139,6 +139,26 @@ class TestUnitize:
         with pytest.raises(ValidationError):
             unitize(np.zeros((2, 2)))
 
+    # The per-row loop a training step ran before it unitized the whole batch.
+    @pytest.mark.parametrize("n,d", [(1, 7), (5, 33), (21, 128), (21, 4096), (3, 8192)])
+    def test_rows_keep_the_per_row_bits(self, rng, n, d):
+        x = rng.normal(size=(n, d)) * rng.uniform(0.01, 100.0, size=(n, 1))
+        reference = np.stack([row / np.linalg.norm(row) for row in x])
+        got = unitize(x)
+        assert got.shape == (n, d)
+        assert np.array_equal(got.view(np.uint64), reference.view(np.uint64))
+        for row, unit in zip(x, got):
+            assert np.array_equal(unitize(row).view(np.uint64), unit.view(np.uint64))
+
+    def test_rejects_a_zero_or_non_finite_row(self, rng):
+        for bad in (0.0, np.nan, np.inf):
+            x = rng.normal(size=(4, 6))
+            x[2] = bad
+            with pytest.raises(DegenerateInputError):
+                unitize(x)
+        with pytest.raises(ValidationError):
+            unitize(np.ones((2, 2, 2)))
+
 
 class TestDFL:
     def test_identical_orthogonal_antipodal(self):

@@ -379,6 +379,13 @@ class TestHeadsContainer:
         with pytest.raises(ValidationError):
             ScoringHeads.zeros(2, topk_fraction=0.0)
 
+    def test_head_shapes_enforced(self):
+        for w, b in ((np.zeros((2, 2)), np.zeros(1)), (np.zeros(0), np.zeros(1)),
+                     (np.zeros(2), np.zeros(0)), (np.zeros(2), np.zeros(2))):
+            with pytest.raises(ValidationError):
+                LinearHead(w, b)
+        assert LinearHead(np.zeros(2), 0.5).b.shape == (1,)
+
 
 class TestScoresCsv:
     def test_round_trips_seventeen_digits(self, tmp_path, rng):

@@ -188,50 +188,53 @@ class TestConfigParsing:
 
 
 class TestDrawBatch:
+    # Item k's grid is the constant k + 1 (normals) or -(k + 1) (anomalies),
+    # so a row of the drawn stack names the item it came from.
     def make_items(self, n_normal, n_anomaly):
-        rng = np.random.default_rng(7)
-        items = [FeatureMap(rng.normal(size=(H, W, D)).astype(np.float32), 0, 0, f"n{i}")
+        items = [FeatureMap(np.full((H, W, D), i + 1.0, dtype=np.float32), 0, 0, f"n{i}")
                  for i in range(n_normal)]
-        items += [FeatureMap(rng.normal(size=(H, W, D)).astype(np.float32), 1, 1, f"a{i}")
+        items += [FeatureMap(np.full((H, W, D), -(i + 1.0), dtype=np.float32), 1, 1, f"a{i}")
                   for i in range(n_anomaly)]
         return items
+
+    @staticmethod
+    def names(grids):
+        return [f"n{int(v) - 1}" if v > 0 else f"a{int(-v) - 1}" for v in grids[:, 0, 0, 0]]
 
     def test_composition_counts_and_order(self):
         items = self.make_items(8, 3)
         rng = np.random.default_rng(0)
-        fms, labels, n_normal = _draw_batch(items, list(range(8)), [8, 9, 10], 4, 2, rng)
-        assert n_normal == 4
-        assert len(fms) == 4 + 3 + 2
-        assert labels[:4] == [0, 0, 0, 0]
-        assert labels[4:] == [1] * 5
+        grids, labels = _draw_batch(items, list(range(8)), [8, 9, 10], 4, 2, rng)
+        assert grids.shape == (4 + 3 + 2, H, W, D) and grids.dtype == np.float64
+        assert labels.tolist() == [0, 0, 0, 0] + [1] * 5
         # few anomalies: every one of them appears, in pool order
-        assert [fm.source_id for fm in fms[4:7]] == ["a0", "a1", "a2"]
+        assert self.names(grids[4:7]) == ["a0", "a1", "a2"]
         # normals drawn without replacement when the pool is big enough
-        assert len({id(fm) for fm in fms[:4]}) == 4
+        normals = self.names(grids[:4])
+        assert len(set(normals)) == 4 and all(name[0] == "n" for name in normals)
 
     def test_many_anomalies_subsampled_sorted(self):
         items = self.make_items(8, 15)
         rng = np.random.default_rng(1)
-        fms, labels, n_normal = _draw_batch(items, list(range(8)), list(range(8, 23)), 4, 0, rng)
-        picked = [fm.source_id for fm in fms[4:]]
+        grids, labels = _draw_batch(items, list(range(8)), list(range(8, 23)), 4, 0, rng)
+        picked = self.names(grids[4:])
         assert len(picked) == 10
-        assert len(set(picked)) == 10
+        assert len(set(picked)) == 10 and all(name[0] == "a" for name in picked)
         assert picked == sorted(picked, key=lambda s: int(s[1:]))
 
     def test_small_normal_pool_draws_with_replacement(self):
         items = self.make_items(2, 0)
         rng = np.random.default_rng(2)
-        fms, labels, n_normal = _draw_batch(items, [0, 1], [], 5, 0, rng)
-        assert n_normal == 5 and len(fms) == 5
-        assert set(fm.source_id for fm in fms) <= {"n0", "n1"}
+        grids, labels = _draw_batch(items, [0, 1], [], 5, 0, rng)
+        assert grids.shape[0] == 5 and labels.tolist() == [0] * 5
+        assert set(self.names(grids)) <= {"n0", "n1"}
 
     def test_pseudo_items_are_labeled_anomalous(self):
         items = self.make_items(8, 2)
         rng = np.random.default_rng(3)
-        fms, labels, _ = _draw_batch(items, list(range(8)), [8, 9], 4, 3, rng)
-        pseudos = fms[4 + 2:]
-        assert len(pseudos) == 3
-        assert all(fm.label == 1 for fm in pseudos)
+        grids, labels = _draw_batch(items, list(range(8)), [8, 9], 4, 3, rng)
+        assert grids.shape[0] == 4 + 2 + 3
+        assert labels[4 + 2:].tolist() == [1, 1, 1]
 
 
 class TestTrainLoop:
@@ -291,6 +294,20 @@ class TestTrainLoop:
         res = train(ds, tiny_split(ds), tiny_config(epochs=2))
         assert res.checkpoint.opt.step == 6
         assert len(calls) == 6
+
+    def test_unitizes_the_batch_once_per_step(self, monkeypatch):
+        calls = []
+        batch_unitize = training.unitize
+
+        def counted(x):
+            calls.append(x.shape)
+            return batch_unitize(x)
+        monkeypatch.setattr(training, "unitize", counted)
+        ds = tiny_dataset()
+        res = train(ds, tiny_split(ds), tiny_config(epochs=2))
+        assert res.checkpoint.opt.step == 6
+        # 4 normals, 2 observed anomalies and 1 pseudo-anomaly of H * W * D values
+        assert calls == [(4 + 2 + 1, H * W * D)] * 6
 
     def test_split_validation(self):
         ds = tiny_dataset()
