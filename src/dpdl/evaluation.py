@@ -19,7 +19,7 @@ from .atomic import atomic_open
 from .errors import UndefinedMetricError, ValidationError
 from .features import Dataset, make_splits
 from .prototypes import mgp_realize, vq_init
-from .scoring import anomaly_score
+from .scoring import anomaly_scores
 from .training import Checkpoint, TrainConfig, TrainResult, train
 
 
@@ -48,18 +48,15 @@ def auc(scores, labels) -> float:
 def score_dataset(ckpt: Checkpoint, dataset: Dataset, item_ids=None) -> list:
     """Score items (all by default) and return (source_id, label, score) rows.
 
-    Each row is exactly ``anomaly_score`` of its item.  Items are scored one
-    at a time on purpose: a matrix product over a stack of items rounds
-    differently from the same product per item.
+    Each row is exactly ``anomaly_score`` of its item: ``anomaly_scores``
+    stacks SCORE_CHUNK items per pass, so no array of the whole dataset
+    is built.
     """
-    mgp = mgp_realize(ckpt.params)
     ids = range(len(dataset)) if item_ids is None else item_ids
-    scale = ckpt.config.residual_scale
-    rows = []
-    for i in ids:
-        item = dataset.items[i]
-        rows.append((item.source_id, item.label, anomaly_score(mgp, ckpt.heads, item, scale)))
-    return rows
+    items = [dataset.items[i] for i in ids]
+    scores = anomaly_scores(mgp_realize(ckpt.params), ckpt.heads, items,
+                            ckpt.config.residual_scale)
+    return [(item.source_id, item.label, score) for item, score in zip(items, scores.tolist())]
 
 
 @dataclass(frozen=True)

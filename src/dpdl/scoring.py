@@ -10,7 +10,8 @@ the normality output.
 Head losses are binary cross-entropy on logits, averaged over a
 (B, H, W, d) batch in one call; their gradients flow only through the
 selected top-K cells, with ties broken toward lower flat indices so
-training is deterministic.
+training is deterministic.  Scoring runs in zero-padded chunks of
+SCORE_CHUNK items, so a score does not depend on the items beside it.
 """
 
 from __future__ import annotations
@@ -23,11 +24,22 @@ import numpy as np
 
 from .atomic import atomic_open
 from .bridge import plan_endpoints, plan_weights, posterior_mode_indices
-from .errors import ValidationError
+from .errors import NumericError, ValidationError
 from .features import FeatureMap
 from .prototypes import MGP
 
 RESIDUAL_SCALES = ("std", "var")
+
+# Rows per scoring pass.  Every pass runs on exactly this many rows, zero-
+# padded, so every matrix product has one shape: BLAS then takes the same
+# kernel and thread split for every pass, and each row rounds the same way
+# whatever the other rows hold.  Products of other shapes can round differently.
+# Four rows keep each (rows, D) x (D, C) product at or under 2**19 multiply-adds
+# up to D * C = 2**17 (D = 4096 with 32 prototypes), and OpenBLAS 0.3.31 ran
+# such products on the calling thread.  With 16 rows it split the D = 2048
+# and 4096 products over two threads, with 8 rows the D = 4096 ones, and the
+# scoring time then varied with whatever else the cores ran.
+SCORE_CHUNK = 4
 
 
 @dataclass
@@ -231,17 +243,49 @@ def head_loss_residual(heads: ScoringHeads, mgp: MGP, fms, labels,
                        heads.topk_fraction)
 
 
-def anomaly_score(mgp: MGP, heads: ScoringHeads, fm, residual_scale: str = "std") -> float:
-    """Composite image-level score: pooled anomaly + pooled residual - normality.
+def _padded_chunk(fms, shape: tuple) -> np.ndarray:
+    """Up to SCORE_CHUNK grids or FeatureMaps as the leading rows of a
+    (SCORE_CHUNK, H, W, d) float64 stack whose other rows are zero."""
+    chunk = np.zeros((SCORE_CHUNK,) + shape)
+    for row, fm in zip(chunk, fms):
+        grid = fm.grid if isinstance(fm, FeatureMap) else np.asarray(fm)
+        if grid.shape != shape:
+            raise ValidationError(f"every grid must have shape {shape}, got {grid.shape}")
+        row[...] = grid
+    return chunk
 
-    Each term is the pooled logit its head loss trains, on a stack of one.
+
+def anomaly_scores(mgp: MGP, heads: ScoringHeads, fms, residual_scale: str = "std") -> np.ndarray:
+    """Composite scores (B,) of a sequence of B grids or FeatureMaps (or a
+    (B, H, W, d) stack): pooled anomaly + pooled residual - normality.
+
+    Each term is the pooled logit its head loss trains.  Items are scored
+    SCORE_CHUNK at a time, a short last chunk padded with zero rows, so an
+    item's score has the same bits whatever else its chunk holds.  A
+    non-finite score raises NumericError naming its item.
     """
-    grids = _grid_of(fm)[None]
-    s_a = _topk_pooled(heads.anomaly, grids, heads.topk_fraction)[0]
-    s_r = _topk_pooled(heads.residual, residual_grid(mgp, grids, residual_scale),
-                       heads.topk_fraction)[0]
-    s_n = _mean_cell_pooled(heads.normal, grids)[0]
-    return float(s_a[0] + s_r[0] - s_n[0])
+    out = np.empty(len(fms))
+    if len(fms) == 0:
+        return out
+    shape = _grid_of(fms[0]).shape
+    frac = heads.topk_fraction
+    for start in range(0, len(fms), SCORE_CHUNK):
+        grids = _padded_chunk(fms[start:start + SCORE_CHUNK], shape)
+        s_a = _topk_pooled(heads.anomaly, grids, frac)[0]
+        s_r = _topk_pooled(heads.residual, residual_grid(mgp, grids, residual_scale), frac)[0]
+        s_n = _mean_cell_pooled(heads.normal, grids)[0]
+        out[start:start + SCORE_CHUNK] = (s_a + s_r - s_n)[:len(out) - start]
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        b = bad[0]
+        name = repr(fms[b].source_id) if isinstance(fms[b], FeatureMap) else f"at row {b}"
+        raise NumericError(f"anomaly score of item {name} is not finite: {out[b]}")
+    return out
+
+
+def anomaly_score(mgp: MGP, heads: ScoringHeads, fm, residual_scale: str = "std") -> float:
+    """Composite image-level score of one item: ``anomaly_scores`` of a sequence of one."""
+    return float(anomaly_scores(mgp, heads, [fm], residual_scale)[0])
 
 
 def write_scores_csv(path: str | Path, rows) -> None:

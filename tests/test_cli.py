@@ -93,6 +93,19 @@ class TestPipeline:
         assert len(lines) == 1 + 32
         assert all(np.isfinite(float(line.split(",")[2])) for line in lines[1:])
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_non_finite_score_exits_numeric_without_csv(self, workspace, trained, capsys):
+        ckpt = load_checkpoint(trained)
+        ckpt.heads.anomaly.w[:] = 1e308
+        model = workspace / "overflow.ckpt"
+        dpdl.save_checkpoint(model, ckpt)
+        out = workspace / "overflow.csv"
+        rc = main(["score", "--model", str(model),
+                   "--data", str(workspace / "data.dpdlfeat"), "--out", str(out)])
+        assert rc == 3
+        assert "not finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_eval_writes_report_csv_and_run_checkpoints(self, workspace, capsys):
         out = workspace / "report.txt"
         rc = main(["eval", "--data", str(workspace / "data.dpdlfeat"),

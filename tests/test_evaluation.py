@@ -1,12 +1,15 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from dpdl.errors import UndefinedMetricError, ValidationError
+from dpdl.errors import NumericError, UndefinedMetricError, ValidationError
 from dpdl.evaluation import (auc, format_report, nearest_prototype_baseline_auc,
                              Report, run_experiment, score_dataset, write_report)
 from dpdl.features import Dataset, FeatureMap, make_splits
 from dpdl.prototypes import mgp_realize
-from dpdl.scoring import anomaly_score
+from dpdl.scoring import SCORE_CHUNK, LinearHead, anomaly_score
 from dpdl.training import TrainConfig, train
 
 from test_training import tiny_config, tiny_dataset, tiny_split
@@ -92,6 +95,71 @@ class TestScoreDataset:
                                         ds.items[14].source_id]
         assert rows[2][1] == 1
         assert all(np.isfinite(r[2]) for r in rows)
+
+
+def same_bits(rows, want):
+    """Score rows equal ``want`` bit for bit (0.0 and -0.0 differ)."""
+    return np.array([r[2] for r in rows]).tobytes() == np.array(want, dtype=np.float64).tobytes()
+
+
+@pytest.fixture(scope="module", params=[1e-3, 0.5], ids=["eps1e-3", "eps0.5"])
+def chunk_case(request):
+    """A trained checkpoint and a dataset of more than two chunks.  At
+    epsilon 1e-3 nearly every conditional plan is one-hot."""
+    ds = tiny_dataset(n_normal=2 * SCORE_CHUNK + 8, n_anomaly=8)
+    ckpt = train(ds, tiny_split(ds), tiny_config(epochs=1, epsilon=request.param)).checkpoint
+    return ckpt, ds
+
+
+class TestChunkedScoring:
+    @pytest.mark.parametrize("n", [1, SCORE_CHUNK - 1, SCORE_CHUNK, SCORE_CHUNK + 1,
+                                   2 * SCORE_CHUNK + 3])
+    def test_rows_equal_anomaly_score_bits(self, chunk_case, n):
+        ckpt, ds = chunk_case
+        mgp = mgp_realize(ckpt.params)
+        scale = ckpt.config.residual_scale
+        ids = list(range(len(ds)))[-n:]
+        rows = score_dataset(ckpt, ds, ids)
+        assert [r[0] for r in rows] == [ds.items[i].source_id for i in ids]
+        assert same_bits(rows, [anomaly_score(mgp, ckpt.heads, ds.items[i], scale) for i in ids])
+
+    def test_shuffled_and_repeated_ids(self, chunk_case):
+        ckpt, ds = chunk_case
+        alone = {row[0]: row[2] for row in score_dataset(ckpt, ds)}
+        order = np.random.default_rng(7).permutation(len(ds))
+        for ids in (order.tolist(), [5] * (SCORE_CHUNK + 2), order[:9].tolist() * 3):
+            rows = score_dataset(ckpt, ds, ids)
+            assert same_bits(rows, [alone[ds.items[i].source_id] for i in ids])
+
+    def test_memory_does_not_grow_with_item_count(self):
+        # At D = 2048 one chunk of float64 rows is SCORE_CHUNK * 16 KiB; a
+        # stack of all the items would be 20 chunks of it.
+        rng = np.random.default_rng(3)
+        items = tuple(FeatureMap(rng.normal(0.0, 0.1, size=(8, 8, 32)).astype(np.float32),
+                                 int(i % 10 == 0), 0, f"x{i}") for i in range(20 * SCORE_CHUNK))
+        ds = Dataset(items, name="wide")
+        ckpt = train(ds, tiny_split(ds), tiny_config(epochs=1)).checkpoint
+        chunk_bytes = SCORE_CHUNK * 2048 * 8
+        peaks = {}
+        for n in (2 * SCORE_CHUNK, 20 * SCORE_CHUNK):
+            tracemalloc.start()
+            try:
+                score_dataset(ckpt, ds, range(n))
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[20 * SCORE_CHUNK] < 12 * chunk_bytes
+        assert peaks[20 * SCORE_CHUNK] - peaks[2 * SCORE_CHUNK] < chunk_bytes
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_non_finite_score_names_its_item(self):
+        # Item 13 is an anomaly with a cell near 2.1: 2.1 * 1e308 overflows.
+        ds = tiny_dataset()
+        ckpt = train(ds, tiny_split(ds), tiny_config(epochs=1)).checkpoint
+        heads = dataclasses.replace(ckpt.heads, anomaly=LinearHead(np.full(3, 1e308), np.zeros(1)))
+        with pytest.raises(NumericError, match="not finite") as info:
+            score_dataset(dataclasses.replace(ckpt, heads=heads), ds, [1, 13])
+        assert repr(ds.items[13].source_id) in str(info.value)
 
 
 def blobby_dataset(n_normal=40, n_anomaly=12, shift=4.0, seed=5):

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import random_mgp
-from dpdl.errors import ValidationError
+from dpdl.errors import NumericError, ValidationError
 from dpdl.features import FeatureMap
 from dpdl.prototypes import MGP
-from dpdl.scoring import (LinearHead, ScoringHeads, anomaly_score,
+from dpdl.scoring import (SCORE_CHUNK, LinearHead, ScoringHeads, anomaly_score, anomaly_scores,
                           bce_with_logits, head_loss_anomaly, head_loss_normal,
                           head_loss_residual, pixel_scores, residual_grid,
                           topk_mean, write_scores_csv)
@@ -349,6 +349,45 @@ class TestCompositeScore:
         mean_cell = grid.reshape(-1, 2).mean(axis=0)
         s_n = float(mean_cell @ heads.normal.w + heads.normal.b[0])
         assert anomaly_score(mgp, heads, grid) == pytest.approx(s_a + s_r - s_n, abs=1e-12)
+
+    @pytest.mark.parametrize("epsilon", [1e-3, 0.5])
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (8, 8, 32)])
+    def test_score_ignores_the_rest_of_its_chunk(self, rng, epsilon, dims):
+        # The chunk's other rows are random, zero, or scaled by 1e3; at
+        # D = 2048 an unpadded (M, D) product can round row 0 differently for
+        # different M.
+        h, w, d = dims
+        mgp = random_mgp(rng, 6, h * w * d, epsilon=epsilon)
+        heads = random_heads(rng, d)
+        grids = rng.normal(size=(SCORE_CHUNK + 5, h, w, d))
+        alone = [anomaly_score(mgp, heads, g) for g in grids]
+        for others in (grids, np.zeros_like(grids), 1e3 * grids):
+            for pos in (0, SCORE_CHUNK - 1, SCORE_CHUNK, SCORE_CHUNK + 4):
+                stack = others.copy()
+                stack[pos] = grids[pos]
+                assert anomaly_scores(mgp, heads, stack)[pos] == alone[pos]
+        assert anomaly_scores(mgp, heads, grids).tobytes() == np.array(alone).tobytes()
+
+    def test_scores_accept_grids_and_feature_maps(self, rng):
+        mgp = random_mgp(rng, 2, 8)
+        heads = random_heads(rng, 2)
+        fms = [FeatureMap(rng.normal(size=(2, 2, 2)).astype(np.float32), 0, 0, f"f{i}")
+               for i in range(3)]
+        got = anomaly_scores(mgp, heads, fms)
+        assert got.tobytes() == anomaly_scores(mgp, heads, [fm.grid for fm in fms]).tobytes()
+        assert anomaly_scores(mgp, heads, []).shape == (0,)
+        with pytest.raises(ValidationError):
+            anomaly_scores(mgp, heads, [fms[0].grid, np.zeros((1, 2, 2))])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_non_finite_score_raises(self, rng):
+        mgp = random_mgp(rng, 2, 8)
+        heads = random_heads(rng, 2)
+        heads.anomaly.w[:] = 1e308
+        grids = np.full((3, 2, 2, 2), 2.0)
+        grids[0] = 0.0
+        with pytest.raises(NumericError, match="at row 1"):
+            anomaly_scores(mgp, heads, grids)
 
     def test_residual_loss_uses_residual_grid(self, rng):
         mgp = random_mgp(rng, 2, 8, epsilon=0.8)
