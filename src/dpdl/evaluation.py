@@ -49,14 +49,13 @@ def score_dataset(ckpt: Checkpoint, dataset: Dataset, item_ids=None) -> list:
     """Score items (all by default) and return (source_id, label, score) rows.
 
     Each row is exactly ``anomaly_score`` of its item: ``anomaly_scores``
-    stacks SCORE_CHUNK items per pass, so no array of the whole dataset
-    is built.
+    gathers SCORE_CHUNK rows of ``dataset.grids`` per pass, so the scored
+    items are never copied.  ValidationError unless each id names an item.
     """
-    ids = range(len(dataset)) if item_ids is None else item_ids
-    items = [dataset.items[i] for i in ids]
-    scores = anomaly_scores(mgp_realize(ckpt.params), ckpt.heads, items,
-                            ckpt.config.residual_scale)
-    return [(item.source_id, item.label, score) for item, score in zip(items, scores.tolist())]
+    ids = np.arange(len(dataset)) if item_ids is None else dataset.checked_ids(item_ids)
+    scores = anomaly_scores(mgp_realize(ckpt.params), ckpt.heads, dataset,
+                            ckpt.config.residual_scale, ids)
+    return list(zip([dataset.source_ids[i] for i in ids.tolist()], dataset.labels[ids].tolist(), scores.tolist()))
 
 
 @dataclass(frozen=True)
@@ -109,17 +108,12 @@ def nearest_prototype_baseline_auc(dataset: Dataset, split, n_codewords: int, se
     Fits the vector quantizer on the training normals and scores each test
     item by its distance to the nearest codeword.
     """
-    flats = np.stack([dataset.items[i].flat() for i in split.train_normal_ids])
-    k = min(n_codewords, flats.shape[0])
-    init = vq_init(flats, k, seed=seed)
-    scores = []
-    labels = []
-    for i in split.test_ids:
-        x = dataset.items[i].flat()
-        d2 = np.sum((init.codebook - x[None, :]) ** 2, axis=1)
-        scores.append(float(np.sqrt(d2.min())))
-        labels.append(dataset.items[i].label)
-    return auc(scores, labels)
+    flats = dataset.grids.reshape(len(dataset), -1)
+    train_normals = flats[list(split.train_normal_ids)].astype(np.float64)
+    codebook = vq_init(train_normals, min(n_codewords, len(train_normals)), seed=seed).codebook
+    x = flats[list(split.test_ids)].astype(np.float64)
+    d2 = np.min([np.sum((c - x) ** 2, axis=1) for c in codebook], axis=0)
+    return auc(np.sqrt(d2), dataset.labels[list(split.test_ids)])
 
 
 def format_report(report: Report) -> str:

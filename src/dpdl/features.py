@@ -1,10 +1,11 @@
 """Feature maps, the on-disk feature format, synthetic data, and splits.
 
 Everything downstream consumes precomputed feature maps: an ``(H, W, d)``
-float32 grid per item plus a binary label and an anomaly class id.  This
-module owns the binary container for such datasets, a synthetic generator
-used by the benchmark, train/test split construction for the general and
-hard protocols, and the rectangle-paste pseudo-anomaly augmentation.
+float32 grid per item plus a binary label and an anomaly class id.  A
+``Dataset`` holds N items as one (N, H, W, d) grid block with label and
+class-id vectors.  This module owns the binary container for datasets, a
+synthetic generator used by the benchmark, train/test splits for the
+general and hard protocols, and the rectangle-paste pseudo-anomalies.
 
 Binary container layout (all little-endian):
 
@@ -23,7 +24,7 @@ and the reader both go through it.
 
 from __future__ import annotations
 
-import dataclasses
+import functools
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -51,6 +52,22 @@ def _record_dtype(h: int, w: int, d: int) -> np.dtype:
     return np.dtype([("class_id", "<u4"), ("label", "u1"), ("pad", "V3"), ("grid", "<f4", (h, w, d))])
 
 
+def _check_items(grids, labels, class_ids, error, name, *faults) -> None:
+    """Raise ``error``, naming item i as ``name(i)``, for the first of N items
+    (float32 grids) that fails a check.  In the order an item reports them:
+    the caller's (mask, reason) ``faults``, a label not 0 or 1, a class id
+    outside u32, a non-finite grid value.  A float64 sum of finite float32
+    values cannot overflow, so an item's sum is finite exactly when all its
+    values are."""
+    faults += (((labels != LABEL_NORMAL) & (labels != LABEL_ANOMALY), lambda i: f"has label {labels[i]}"),
+               ((class_ids < 0) | (class_ids > 0xFFFFFFFF), lambda i: f"has class id {class_ids[i]} outside u32"),
+               (~np.isfinite(grids.sum(axis=(1, 2, 3), dtype=np.float64)), lambda i: "contains non-finite values"))
+    bad = np.flatnonzero(np.logical_or.reduce([mask for mask, _ in faults]))
+    if bad.size:
+        i = int(bad[0])
+        raise error(f"{name(i)} {next(reason(i) for mask, reason in faults if mask[i])}")
+
+
 @dataclass(frozen=True, eq=False)
 class FeatureMap:
     """One item: a float32 feature grid with label and class metadata.
@@ -68,17 +85,11 @@ class FeatureMap:
         grid = np.asarray(self.grid)
         if grid.ndim != 3 or min(grid.shape) < 1:
             raise ValidationError(f"feature grid must be (H, W, d) with positive dims, got shape {grid.shape}")
-        if grid.dtype != np.float32:
-            grid = grid.astype(np.float32)
-        if not np.all(np.isfinite(grid)):
-            raise ValidationError(f"feature grid for {self.source_id!r} contains non-finite values")
-        grid = grid.copy()
+        grid = np.array(grid, dtype=np.float32)
+        _check_items(grid[None], np.array([self.label]), np.array([self.class_id]), ValidationError,
+                     lambda i: f"feature map {self.source_id!r}")
         grid.flags.writeable = False
         object.__setattr__(self, "grid", grid)
-        if self.label not in (LABEL_NORMAL, LABEL_ANOMALY):
-            raise ValidationError(f"label must be 0 or 1, got {self.label}")
-        if not 0 <= self.class_id <= 0xFFFFFFFF:
-            raise ValidationError(f"class_id must fit in u32, got {self.class_id}")
 
     @classmethod
     def _view(cls, grid: np.ndarray, label: int, class_id: int, source_id: str) -> "FeatureMap":
@@ -107,43 +118,64 @@ class FeatureMap:
         )
 
 
-@dataclass(frozen=True, eq=False)
 class Dataset:
-    """An ordered collection of feature maps with identical grid dims.
+    """N items as arrays: read-only float32 ``grids`` (N, H, W, d), u8
+    ``labels``, u32 ``class_ids`` and a tuple of ``source_ids``.
 
     Equality compares the items (bit-exact grids, labels, class and source
     ids) and ignores the name/seed metadata, which is not persisted.
     """
 
-    items: tuple[FeatureMap, ...]
-    name: str = ""
-    seed: int | None = None
+    def __init__(self, items, name: str = "", seed: int | None = None):
+        items = tuple(items)
+        if len({item.dims for item in items}) != 1:
+            raise ValidationError(f"need items of one grid shape, got {sorted({item.dims for item in items})}")
+        self._hold(np.stack([item.grid for item in items]),
+                   np.array([item.label for item in items], dtype=np.uint8),
+                   np.array([item.class_id for item in items], dtype=np.uint32),
+                   tuple(item.source_id for item in items), name, seed)
 
-    def __post_init__(self):
-        items = tuple(self.items)
-        object.__setattr__(self, "items", items)
-        if not items:
-            raise ValidationError("dataset must contain at least one item")
-        dims = items[0].dims
-        for i, item in enumerate(items):
-            if item.dims != dims:
-                raise ValidationError(f"item {i} has dims {item.dims}, expected {dims}")
-        if not any(item.label == LABEL_NORMAL for item in items):
+    def _hold(self, grids, labels, class_ids, source_ids, name, seed) -> "Dataset":
+        """Hold checked arrays read-only without copying them; None ``source_ids`` are canonical."""
+        if not np.any(labels == LABEL_NORMAL):
             raise ValidationError("dataset must contain at least one normal item")
+        if source_ids is not None:
+            self.source_ids = source_ids
+        for array in (grids, labels, class_ids):
+            array.flags.writeable = False
+        self.grids, self.labels, self.class_ids, self.name, self.seed = grids, labels, class_ids, name, seed
+        return self
+
+    @functools.cached_property
+    def source_ids(self) -> tuple[str, ...]:
+        return tuple(map(canonical_source_id, range(len(self))))
+
+    @functools.cached_property
+    def items(self) -> tuple[FeatureMap, ...]:
+        """Read-only FeatureMap views into ``grids``, built on first use."""
+        return tuple(map(FeatureMap._view, self.grids, self.labels.tolist(), self.class_ids.tolist(),
+                         self.source_ids))
 
     def __len__(self) -> int:
-        return len(self.items)
+        return len(self.grids)
 
     @property
     def dims(self) -> tuple[int, int, int]:
-        return self.items[0].dims
+        return self.grids.shape[1:]  # type: ignore[return-value]
+
+    def checked_ids(self, ids) -> np.ndarray:
+        """``ids`` as an int64 vector; ValidationError unless each is an integer naming an item."""
+        ids = np.asarray(ids).reshape(-1)
+        bad = ids[(ids < 0) | (ids >= len(self)) | (ids != ids.astype(np.int64))]
+        if bad.size:
+            raise ValidationError(f"{bad[0]} is not an item id of a dataset of size {len(self)}")
+        return ids.astype(np.int64)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
-        return len(self.items) == len(other.items) and all(
-            a == b for a, b in zip(self.items, other.items)
-        )
+        return (self.source_ids == other.source_ids and np.array_equal(self.labels, other.labels)
+                and np.array_equal(self.class_ids, other.class_ids) and np.array_equal(self.grids, other.grids))
 
 
 def canonical_source_id(index: int) -> str:
@@ -154,17 +186,14 @@ def canonical_source_id(index: int) -> str:
 def write_feature_file(path: str | Path, dataset: Dataset) -> None:
     h, w, d = dataset.dims
     records = np.zeros(len(dataset), dtype=_record_dtype(h, w, d))
-    records["class_id"] = [item.class_id for item in dataset.items]
-    records["label"] = [item.label for item in dataset.items]
-    for i, item in enumerate(dataset.items):
-        records["grid"][i] = item.grid
+    records["class_id"], records["label"], records["grid"] = dataset.class_ids, dataset.labels, dataset.grids
     with atomic_open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, len(dataset), h, w, d))
         fh.write(records.view(np.uint8))
 
 
 def read_feature_file(path: str | Path) -> Dataset:
-    """Read a feature file; items are read-only views into the file's bytes."""
+    """Read a feature file; the dataset's arrays are read-only views into the file's bytes."""
     path = Path(path)
     blob = path.read_bytes()
     if len(blob) < _HEADER.size:
@@ -184,27 +213,10 @@ def read_feature_file(path: str | Path) -> Dataset:
     if len(blob) != expected:
         raise CorruptionError(f"{path}: expected {expected} bytes for {count} items, found {len(blob)}")
     records = np.frombuffer(blob, dtype=_record_dtype(h, w, d), count=count, offset=_HEADER.size)
-    grids = records["grid"]
-    labels = records["label"]
-    bad_pad = records["pad"] != _ZERO_PAD
-    bad_label = labels > LABEL_ANOMALY
-    # A float64 sum of finite float32 values cannot overflow, so an item's
-    # sum is finite exactly when all of its values are.
-    bad_values = ~np.isfinite(grids.sum(axis=(1, 2, 3), dtype=np.float64))
-    bad = bad_pad | bad_label | bad_values
-    if bad.any():
-        i = int(np.argmax(bad))
-        if bad_pad[i]:
-            reason = "has nonzero padding bytes"
-        elif bad_label[i]:
-            reason = f"has label {labels[i]}"
-        else:
-            reason = "contains non-finite values"
-        raise CorruptionError(f"{path}: item {i} {reason}")
-    items = tuple(FeatureMap._view(grid, label, class_id, canonical_source_id(i))
-                  for i, (grid, label, class_id) in enumerate(
-                      zip(grids, labels.tolist(), records["class_id"].tolist())))
-    return Dataset(items, name=path.stem)
+    grids, labels, class_ids = records["grid"], records["label"], records["class_id"]
+    _check_items(grids, labels, class_ids, CorruptionError, lambda i: f"{path}: item {i}",
+                 (records["pad"] != _ZERO_PAD, lambda i: "has nonzero padding bytes"))
+    return Dataset.__new__(Dataset)._hold(grids, labels, class_ids, None, path.stem, None)
 
 
 @dataclass(frozen=True)
@@ -282,13 +294,11 @@ def synth_generate(config: SynthConfig, seed: int) -> Dataset:
     std_noise = np.full(d, config.detail_noise)
     std_noise[:n_ctx] = config.noise
     centers = rng.normal(size=(config.n_normal_clusters, h * w, d)) * std_center
-    items = []
+    n_norm, n_anom = config.n_per_normal_cluster, config.n_per_anomaly_class
+    n_normal = config.n_normal_clusters * n_norm
+    grids = np.empty((n_normal + config.n_anomaly_classes * n_anom, h * w, d), dtype=np.float32)
     for k in range(config.n_normal_clusters):
-        draws = centers[k] + rng.normal(size=(config.n_per_normal_cluster, h * w, d)) * std_noise
-        for i in range(config.n_per_normal_cluster):
-            items.append(FeatureMap(
-                draws[i].reshape(h, w, d).astype(np.float32),
-                LABEL_NORMAL, 0, f"normal-c{k}-{i:04d}"))
+        grids[k * n_norm:(k + 1) * n_norm] = centers[k] + rng.normal(size=(n_norm, h * w, d)) * std_noise
     n_cells = max(1, int(round(config.anomaly_patch_fraction * h * w)))
     for a in range(config.n_anomaly_classes):
         base = centers[a % config.n_normal_clusters]
@@ -299,12 +309,16 @@ def synth_generate(config: SynthConfig, seed: int) -> Dataset:
         # unseen ones.  Context channels are never displaced.
         pattern[cells, n_ctx:] = np.abs(rng.normal(size=(n_cells, d - n_ctx)))
         shift = config.anomaly_shift * pattern / np.linalg.norm(pattern)
-        draws = base + shift + rng.normal(size=(config.n_per_anomaly_class, h * w, d)) * std_noise
-        for i in range(config.n_per_anomaly_class):
-            items.append(FeatureMap(
-                draws[i].reshape(h, w, d).astype(np.float32),
-                LABEL_ANOMALY, a + 1, f"anomaly-k{a + 1}-{i:04d}"))
-    return Dataset(tuple(items), name="synth", seed=seed)
+        start = n_normal + a * n_anom
+        grids[start:start + n_anom] = base + shift + rng.normal(size=(n_anom, h * w, d)) * std_noise
+    grids = grids.reshape(-1, h, w, d)
+    class_ids = np.repeat(np.arange(config.n_anomaly_classes + 1, dtype=np.uint32),
+                          [n_normal] + [n_anom] * config.n_anomaly_classes)
+    labels = (class_ids > 0).astype(np.uint8)
+    _check_items(grids, labels, class_ids, ValidationError, lambda i: f"synthetic item {i}")
+    source_ids = ([f"normal-c{k}-{i:04d}" for k in range(config.n_normal_clusters) for i in range(n_norm)]
+                  + [f"anomaly-k{a + 1}-{i:04d}" for a in range(config.n_anomaly_classes) for i in range(n_anom)])
+    return Dataset.__new__(Dataset)._hold(grids, labels, class_ids, tuple(source_ids), "synth", seed)
 
 
 @dataclass(frozen=True)
@@ -333,36 +347,34 @@ def make_splits(dataset: Dataset, protocol: str, m: int, seed: int) -> SplitPlan
     if m < 0:
         raise ValidationError(f"m must be nonnegative, got {m}")
     rng = np.random.default_rng(seed)
-    normal_ids = [i for i, item in enumerate(dataset.items) if item.label == LABEL_NORMAL]
-    anomaly_ids = [i for i, item in enumerate(dataset.items) if item.label == LABEL_ANOMALY]
+    normal_ids = np.flatnonzero(dataset.labels == LABEL_NORMAL)
+    anomaly_ids = np.flatnonzero(dataset.labels == LABEL_ANOMALY)
+    perm = rng.permutation(normal_ids)
     n_test = len(normal_ids) // 4
-    perm = rng.permutation(np.array(normal_ids, dtype=np.int64))
-    test_normals = sorted(int(i) for i in perm[:n_test])
-    train_normals = sorted(int(i) for i in perm[n_test:])
+    test_normals, train_normals = np.sort(perm[:n_test]), np.sort(perm[n_test:])
     held_out: tuple[int, ...] = ()
     if protocol == "general":
         if m > len(anomaly_ids):
             raise ValidationError(f"m={m} exceeds the {len(anomaly_ids)} available anomalies")
-        chosen = rng.choice(np.array(anomaly_ids, dtype=np.int64), size=m, replace=False) if m else []
-        train_anomalies = sorted(int(i) for i in chosen)
-        test_anomalies = sorted(set(anomaly_ids) - set(train_anomalies))
+        train_anomalies = np.sort(rng.choice(anomaly_ids, size=m, replace=False)) if m else anomaly_ids[:0]
+        test_anomalies = np.setdiff1d(anomaly_ids, train_anomalies)
     else:
-        classes = sorted({dataset.items[i].class_id for i in anomaly_ids})
+        anomaly_classes = dataset.class_ids[anomaly_ids].astype(np.int64)
+        classes = np.unique(anomaly_classes)
         if len(classes) < 2:
             raise ProtocolError(f"hard protocol needs at least 2 anomaly classes, found {len(classes)}")
-        chosen_class = int(rng.choice(np.array(classes, dtype=np.int64)))
-        pool = [i for i in anomaly_ids if dataset.items[i].class_id == chosen_class]
+        chosen_class = int(rng.choice(classes))
+        pool = anomaly_ids[anomaly_classes == chosen_class]
         if m > len(pool):
             raise ValidationError(f"m={m} exceeds the {len(pool)} items of anomaly class {chosen_class}")
-        chosen = rng.choice(np.array(pool, dtype=np.int64), size=m, replace=False) if m else []
-        train_anomalies = sorted(int(i) for i in chosen)
-        test_anomalies = sorted(i for i in anomaly_ids if dataset.items[i].class_id != chosen_class)
-        held_out = tuple(c for c in classes if c != chosen_class)
-    test_ids = sorted(test_normals + test_anomalies)
+        train_anomalies = np.sort(rng.choice(pool, size=m, replace=False)) if m else pool[:0]
+        test_anomalies = anomaly_ids[anomaly_classes != chosen_class]
+        held_out = tuple(c for c in classes.tolist() if c != chosen_class)
+    test_ids = np.sort(np.concatenate([test_normals, test_anomalies]))
     return SplitPlan(
-        train_normal_ids=tuple(train_normals),
-        train_anomaly_ids=tuple(train_anomalies),
-        test_ids=tuple(test_ids),
+        train_normal_ids=tuple(train_normals.tolist()),
+        train_anomaly_ids=tuple(train_anomalies.tolist()),
+        test_ids=tuple(test_ids.tolist()),
         protocol=protocol,
         m=m,
         seed=seed,
@@ -370,38 +382,40 @@ def make_splits(dataset: Dataset, protocol: str, m: int, seed: int) -> SplitPlan
     )
 
 
+def cutmix_rectangle(h: int, w: int, rng: np.random.Generator,
+                     area_fraction: float | None = None) -> tuple[slice, slice] | None:
+    """Rows and columns of a rectangle covering ``area_fraction`` (drawn from
+    U(0.02, 0.4) when None) of an h x w grid; None for a zero fraction.  Draw
+    order is fixed (fraction, then row, then column) so results are
+    reproducible from the generator state."""
+    fraction = float(rng.uniform(0.02, 0.4)) if area_fraction is None else float(area_fraction)
+    if fraction == 0:
+        return None
+    side = np.sqrt(fraction)
+    rect_h = max(1, min(h, int(round(h * side))))
+    rect_w = max(1, min(w, int(round(w * side))))
+    top = int(rng.integers(0, h - rect_h + 1))
+    left = int(rng.integers(0, w - rect_w + 1))
+    return slice(top, top + rect_h), slice(left, left + rect_w)
+
+
 def cutmix_pseudo_anomaly(base: FeatureMap, donor: FeatureMap, rng: np.random.Generator,
                           area_fraction: float | None = None) -> FeatureMap:
-    """Paste one donor rectangle into a copy of ``base``.
+    """Paste one donor rectangle (``cutmix_rectangle``) into a copy of ``base``.
 
     The rectangle's area fraction is drawn from U(0.02, 0.4) unless forced
-    via ``area_fraction``.  Draw order is fixed (fraction, then row, then
-    column) so results are reproducible from the generator state.  A zero
-    fraction returns the base grid unchanged with its original label;
-    otherwise the result is labeled anomalous with the reserved pseudo
-    class id.
+    via ``area_fraction``.  A zero fraction returns the base grid unchanged
+    with its original label; otherwise the result is labeled anomalous
+    with the reserved pseudo class id.
     """
     if base.dims != donor.dims:
         raise ValidationError(f"base dims {base.dims} != donor dims {donor.dims}")
-    h, w, _ = base.dims
-    if area_fraction is None:
-        fraction = float(rng.uniform(0.02, 0.4))
-    else:
-        if not 0 <= area_fraction <= 1:
-            raise ValidationError(f"area_fraction must lie in [0, 1], got {area_fraction}")
-        fraction = float(area_fraction)
-    side = np.sqrt(fraction)
-    rect_h = min(h, int(round(h * side)))
-    rect_w = min(w, int(round(w * side)))
-    if fraction > 0:
-        rect_h = max(1, rect_h)
-        rect_w = max(1, rect_w)
-    if rect_h == 0 or rect_w == 0:
-        return FeatureMap(base.grid, base.label, base.class_id,
-                          f"cutmix({base.source_id}|{donor.source_id})")
-    top = int(rng.integers(0, h - rect_h + 1))
-    left = int(rng.integers(0, w - rect_w + 1))
+    if area_fraction is not None and not 0 <= area_fraction <= 1:
+        raise ValidationError(f"area_fraction must lie in [0, 1], got {area_fraction}")
+    source_id = f"cutmix({base.source_id}|{donor.source_id})"
+    rect = cutmix_rectangle(base.dims[0], base.dims[1], rng, area_fraction)
+    if rect is None:
+        return FeatureMap(base.grid, base.label, base.class_id, source_id)
     grid = base.grid.copy()
-    grid[top:top + rect_h, left:left + rect_w, :] = donor.grid[top:top + rect_h, left:left + rect_w, :]
-    return FeatureMap(grid, LABEL_ANOMALY, PSEUDO_ANOMALY_CLASS_ID,
-                      f"cutmix({base.source_id}|{donor.source_id})")
+    grid[rect] = donor.grid[rect]
+    return FeatureMap(grid, LABEL_ANOMALY, PSEUDO_ANOMALY_CLASS_ID, source_id)

@@ -25,7 +25,7 @@ import numpy as np
 from .atomic import atomic_open
 from .bridge import plan_endpoints, plan_weights, posterior_mode_indices
 from .errors import NumericError, ValidationError
-from .features import FeatureMap
+from .features import Dataset, FeatureMap
 from .prototypes import MGP
 
 RESIDUAL_SCALES = ("std", "var")
@@ -243,43 +243,46 @@ def head_loss_residual(heads: ScoringHeads, mgp: MGP, fms, labels,
                        heads.topk_fraction)
 
 
-def _padded_chunk(fms, shape: tuple) -> np.ndarray:
-    """Up to SCORE_CHUNK grids or FeatureMaps as the leading rows of a
-    (SCORE_CHUNK, H, W, d) float64 stack whose other rows are zero."""
-    chunk = np.zeros((SCORE_CHUNK,) + shape)
-    for row, fm in zip(chunk, fms):
-        grid = fm.grid if isinstance(fm, FeatureMap) else np.asarray(fm)
-        if grid.shape != shape:
-            raise ValidationError(f"every grid must have shape {shape}, got {grid.shape}")
-        row[...] = grid
-    return chunk
+def _rows_of(fms) -> tuple[np.ndarray, list | tuple | None]:
+    """The (N, H, W, d) rows of ``anomaly_scores``' input, and their source ids if known."""
+    if isinstance(fms, Dataset):
+        return fms.grids, fms.source_ids
+    if isinstance(fms, np.ndarray) and fms.ndim == 4:
+        return fms, None
+    grids = [_grid_of(fm) for fm in fms]
+    if len({grid.shape for grid in grids}) > 1:
+        raise ValidationError(f"every grid must have one shape, got {sorted({g.shape for g in grids})}")
+    return np.array(grids), [getattr(fm, "source_id", None) for fm in fms]
 
 
-def anomaly_scores(mgp: MGP, heads: ScoringHeads, fms, residual_scale: str = "std") -> np.ndarray:
-    """Composite scores (B,) of a sequence of B grids or FeatureMaps (or a
-    (B, H, W, d) stack): pooled anomaly + pooled residual - normality.
+def anomaly_scores(mgp: MGP, heads: ScoringHeads, fms, residual_scale: str = "std",
+                   ids=None) -> np.ndarray:
+    """Composite scores of rows ``ids`` (all by default) of a Dataset, a
+    (N, H, W, d) stack or a sequence of grids or FeatureMaps: pooled
+    anomaly + pooled residual - normality.
 
-    Each term is the pooled logit its head loss trains.  Items are scored
-    SCORE_CHUNK at a time, a short last chunk padded with zero rows, so an
-    item's score has the same bits whatever else its chunk holds.  A
-    non-finite score raises NumericError naming its item.
+    Each term is the pooled logit its head loss trains.  Each pass gathers
+    SCORE_CHUNK rows into a stack padded with zero rows, so an item's score
+    has the same bits whatever else its pass holds.  A non-finite score
+    raises NumericError naming its item.
     """
-    out = np.empty(len(fms))
-    if len(fms) == 0:
-        return out
-    shape = _grid_of(fms[0]).shape
+    grids, names = _rows_of(fms)
+    ids = np.arange(len(grids)) if ids is None else np.asarray(ids, dtype=np.int64)
+    out = np.empty(len(ids))
     frac = heads.topk_fraction
-    for start in range(0, len(fms), SCORE_CHUNK):
-        grids = _padded_chunk(fms[start:start + SCORE_CHUNK], shape)
-        s_a = _topk_pooled(heads.anomaly, grids, frac)[0]
-        s_r = _topk_pooled(heads.residual, residual_grid(mgp, grids, residual_scale), frac)[0]
-        s_n = _mean_cell_pooled(heads.normal, grids)[0]
+    for start in range(0, len(ids), SCORE_CHUNK):
+        rows = grids[ids[start:start + SCORE_CHUNK]]
+        chunk = np.zeros((SCORE_CHUNK,) + rows.shape[1:])
+        chunk[:len(rows)] = rows
+        s_a = _topk_pooled(heads.anomaly, chunk, frac)[0]
+        s_r = _topk_pooled(heads.residual, residual_grid(mgp, chunk, residual_scale), frac)[0]
+        s_n = _mean_cell_pooled(heads.normal, chunk)[0]
         out[start:start + SCORE_CHUNK] = (s_a + s_r - s_n)[:len(out) - start]
     bad = np.flatnonzero(~np.isfinite(out))
     if bad.size:
-        b = bad[0]
-        name = repr(fms[b].source_id) if isinstance(fms[b], FeatureMap) else f"at row {b}"
-        raise NumericError(f"anomaly score of item {name} is not finite: {out[b]}")
+        i = ids[bad[0]]
+        name = f"at row {i}" if names is None or names[i] is None else repr(names[i])
+        raise NumericError(f"anomaly score of item {name} is not finite: {out[bad[0]]}")
     return out
 
 

@@ -30,7 +30,7 @@ import numpy as np
 from .atomic import atomic_open
 from .configio import check_finite_floats, coerce_fields, parse_kv_file
 from .errors import CorruptionError, FormatError, NumericError, ValidationError
-from .features import Dataset, SplitPlan, cutmix_pseudo_anomaly
+from .features import LABEL_ANOMALY, Dataset, SplitPlan, cutmix_rectangle
 from .losses import loss_dfl, loss_dpl, unitize
 from .prototypes import MGPParams, mgp_new, mgp_realize, vq_init
 from .scoring import (RESIDUAL_SCALES, LinearHead, ScoringHeads, head_loss_anomaly,
@@ -210,16 +210,6 @@ def _clip_global_norm(grads: dict, max_norm: float) -> None:
             g *= scale
 
 
-def _check_split(dataset: Dataset, split: SplitPlan) -> None:
-    n = len(dataset)
-    for group in (split.train_normal_ids, split.train_anomaly_ids, split.test_ids):
-        for i in group:
-            if not 0 <= i < n:
-                raise ValidationError(f"split references item {i} outside dataset of size {n}")
-    if not split.train_normal_ids:
-        raise ValidationError("split has no training normals")
-
-
 def train(dataset: Dataset, split: SplitPlan, config: TrainConfig,
           resume: Checkpoint | None = None) -> TrainResult:
     """Run the optimization loop and return the final checkpoint plus log.
@@ -228,17 +218,16 @@ def train(dataset: Dataset, split: SplitPlan, config: TrainConfig,
     epoch budget; the random stream picks up exactly where it stopped, so
     a 25+25-epoch run equals a straight 50-epoch run bit for bit.
     """
-    _check_split(dataset, split)
-    h, w, d = dataset.dims
-    items = dataset.items
-    normal_pool = list(split.train_normal_ids)
-    anomaly_pool = list(split.train_anomaly_ids)
+    normal_pool, anomaly_pool, _ = (dataset.checked_ids(ids) for ids in (
+        split.train_normal_ids, split.train_anomaly_ids, split.test_ids))
+    if not len(normal_pool):
+        raise ValidationError("split has no training normals")
 
     if resume is None:
-        flats = np.stack([items[i].flat() for i in normal_pool])
+        flats = dataset.grids[normal_pool].reshape(len(normal_pool), -1).astype(np.float64)
         init = vq_init(flats, config.n_prototypes, max_iters=VQ_MAX_ITERS, seed=config.seed)
         params = mgp_new(init, config.epsilon)
-        heads = ScoringHeads.zeros(d, config.topk_fraction)
+        heads = ScoringHeads.zeros(dataset.dims[2], config.topk_fraction)
         opt = OptimizerState.for_params(_param_dict(params, heads))
         rng = np.random.default_rng([config.seed, 0x0D9D])
         start_epoch = 0
@@ -257,7 +246,7 @@ def train(dataset: Dataset, split: SplitPlan, config: TrainConfig,
     for epoch in range(start_epoch, config.epochs):
         sums = np.zeros(7)
         for it in range(config.iters_per_epoch):
-            grids, labels = _draw_batch(items, normal_pool, anomaly_pool, config.batch_size, n_pseudo, rng)
+            grids, labels = _draw_batch(dataset, normal_pool, anomaly_pool, config.batch_size, n_pseudo, rng)
             mgp = mgp_realize(params)
             ha = head_loss_anomaly(heads, grids, labels)
             hn = head_loss_normal(heads, grids, labels)
@@ -291,31 +280,30 @@ def train(dataset: Dataset, split: SplitPlan, config: TrainConfig,
     return TrainResult(checkpoint=ckpt, log=tuple(log_rows))
 
 
-def _draw_batch(items, normal_pool, anomaly_pool, batch_size, n_pseudo, rng):
+def _draw_batch(dataset, normal_pool, anomaly_pool, batch_size, n_pseudo, rng):
     """One step's batch: its (B, H, W, d) float64 grid stack and (B,) labels.
 
-    Draw order: normals, observed anomalies (label 1), pseudo-anomalies.
+    Draw order: normals, observed anomalies (label 1), then per
+    pseudo-anomaly (label 1) its base, its donor and ``cutmix_rectangle``.
+    The rows are one gather from ``dataset.grids``, the pseudo-anomalies'
+    bases with their donor rectangles then pasted in place.
     """
-    picked = rng.choice(len(normal_pool), size=batch_size, replace=len(normal_pool) < batch_size)
-    fms = [items[normal_pool[int(i)]] for i in picked]
-    labels = [fm.label for fm in fms]
-
-    if len(anomaly_pool) <= MAX_ANOMALIES_PER_ITER:
-        chosen = range(len(anomaly_pool))
-    else:
-        chosen = sorted(int(i) for i in rng.choice(
-            len(anomaly_pool), size=MAX_ANOMALIES_PER_ITER, replace=False))
-    fms += [items[anomaly_pool[i]] for i in chosen]
-    labels += [1] * len(chosen)
-
-    donor_pool = normal_pool + anomaly_pool
-    for _ in range(n_pseudo):
-        base = items[normal_pool[int(rng.integers(len(normal_pool)))]]
-        donor = items[donor_pool[int(rng.integers(len(donor_pool)))]]
-        pseudo = cutmix_pseudo_anomaly(base, donor, rng)
-        fms.append(pseudo)
-        labels.append(pseudo.label)
-    return np.stack([fm.grid for fm in fms], dtype=np.float64), np.array(labels)
+    normal_pool, anomaly_pool = np.asarray(normal_pool), np.asarray(anomaly_pool, dtype=np.int64)
+    picked = normal_pool[rng.choice(len(normal_pool), size=batch_size, replace=len(normal_pool) < batch_size)]
+    chosen = anomaly_pool
+    if len(anomaly_pool) > MAX_ANOMALIES_PER_ITER:
+        chosen = chosen[np.sort(rng.choice(len(anomaly_pool), size=MAX_ANOMALIES_PER_ITER, replace=False))]
+    donor_pool = np.concatenate([normal_pool, anomaly_pool])
+    bases, donors = np.empty(n_pseudo, dtype=np.int64), np.empty(n_pseudo, dtype=np.int64)
+    pasted = np.zeros((n_pseudo,) + dataset.dims[:2] + (1,), dtype=bool)
+    for j in range(n_pseudo):
+        bases[j] = normal_pool[rng.integers(len(normal_pool))]
+        donors[j] = donor_pool[rng.integers(len(donor_pool))]
+        pasted[(j,) + cutmix_rectangle(*dataset.dims[:2], rng)] = True
+    grids = dataset.grids[np.concatenate([picked, chosen, bases])].astype(np.float64)
+    np.copyto(grids[len(grids) - n_pseudo:], dataset.grids[donors], where=pasted)
+    labels = np.concatenate([dataset.labels[picked], np.full(len(chosen) + n_pseudo, LABEL_ANOMALY)])
+    return grids, labels
 
 
 def _check_resume(ckpt: Checkpoint, config: TrainConfig) -> None:

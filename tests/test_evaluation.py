@@ -161,6 +161,19 @@ class TestChunkedScoring:
             score_dataset(dataclasses.replace(ckpt, heads=heads), ds, [1, 13])
         assert repr(ds.items[13].source_id) in str(info.value)
 
+    @pytest.mark.parametrize("bad", [-1, "len", 1.5])
+    def test_ids_that_name_no_item_are_rejected(self, bad):
+        # A negative id used to wrap to the last item and an id at len(ds)
+        # ended in a bare IndexError; training checks its split the same way.
+        ds = tiny_dataset()
+        ckpt = train(ds, tiny_split(ds), tiny_config(epochs=1)).checkpoint
+        bad = len(ds) if bad == "len" else bad
+        with pytest.raises(ValidationError, match=f"{bad} is not an item id"):
+            score_dataset(ckpt, ds, [0, bad])
+        split = dataclasses.replace(tiny_split(ds), test_ids=(0, bad))
+        with pytest.raises(ValidationError, match=f"{bad} is not an item id"):
+            train(ds, split, tiny_config(epochs=1))
+
 
 def blobby_dataset(n_normal=40, n_anomaly=12, shift=4.0, seed=5):
     """Normals tight around zero, anomalies displaced: trivially separable."""

@@ -8,7 +8,7 @@ from dpdl.errors import (CorruptionError, FormatError, ProtocolError,
                          ValidationError)
 from dpdl.features import (LABEL_ANOMALY, LABEL_NORMAL, PSEUDO_ANOMALY_CLASS_ID,
                            Dataset, FeatureMap, SynthConfig, canonical_source_id,
-                           cutmix_pseudo_anomaly, make_splits, read_feature_file,
+                           cutmix_pseudo_anomaly, cutmix_rectangle, make_splits, read_feature_file,
                            synth_generate, write_feature_file)
 
 HEADER_BYTES = struct.calcsize("<8sIQIII")
@@ -77,6 +77,47 @@ class TestDataset:
         ds = small_dataset()
         other = Dataset(ds.items, name="renamed", seed=99)
         assert ds == other
+
+    def test_items_are_views_of_the_arrays(self, tmp_path):
+        ds = small_dataset(n=4)
+        path = tmp_path / "a.feat"
+        write_feature_file(path, ds)
+        back = read_feature_file(path)
+        assert back == ds
+        for dataset in (ds, back):
+            assert dataset.grids.dtype == np.float32 and dataset.grids.shape == (4, 2, 2, 3)
+            for i, item in enumerate(dataset.items):
+                assert item.grid.tobytes() == dataset.grids[i].tobytes()
+                assert np.shares_memory(item.grid, dataset.grids)
+                assert (item.label, item.class_id, item.source_id) == (
+                    dataset.labels[i], dataset.class_ids[i], dataset.source_ids[i])
+            assert dataset.items is dataset.items
+
+    @pytest.mark.parametrize("first,corrupt,file_error", [
+        ({"grid": np.ones((1, 2, 3))},
+         lambda blob: blob.extend(struct.pack("<IB3s", 0, 0, bytes(3)) + bytes(4 * 6)), CorruptionError),
+        ({"label": 1}, lambda blob: blob.__setitem__(HEADER_BYTES + 4, 1), ValidationError),
+        ({"label": 2}, lambda blob: blob.__setitem__(HEADER_BYTES + 4, 2), CorruptionError),
+        ({"grid": np.full((1, 2, 2), np.nan)},
+         lambda blob: struct.pack_into("<f", blob, HEADER_BYTES + RECORD_HEAD_BYTES, np.inf), CorruptionError),
+    ], ids=["mixed dims", "no normal", "bad label", "non-finite"])
+    def test_items_and_file_raise_the_same_errors(self, tmp_path, first, corrupt, file_error):
+        # Items fail at FeatureMap or Dataset with a ValidationError.  A file
+        # fails at its reader: a corrupt byte is a CorruptionError, itself a
+        # ValidationError, and a well-formed file without a normal item is a
+        # plain ValidationError.
+        grid = np.ones((1, 2, 2), dtype=np.float32)
+        with pytest.raises(ValidationError) as from_items:
+            Dataset((FeatureMap(**{"grid": grid, "label": 0, "class_id": 0, "source_id": "a", **first}),
+                     FeatureMap(grid, 1, 0, "b")))
+        path = tmp_path / "f.feat"
+        write_feature_file(path, Dataset((FeatureMap(grid, 0, 0, "a"), FeatureMap(grid, 1, 0, "b"))))
+        blob = bytearray(path.read_bytes())
+        corrupt(blob)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(file_error) as from_file:
+            read_feature_file(path)
+        assert from_items.type is ValidationError and from_file.type is file_error
 
 
 class TestFeatureFile:
@@ -181,6 +222,18 @@ class TestFeatureFile:
         back = read_feature_file(path)
         assert [(it.label, it.class_id) for it in back.items] == [(0, 0), (1, 0xFFFFFFFF)]
         assert back.items[1].grid.tobytes() == g1.tobytes()
+
+    def test_arrays_are_read_only_views_of_the_bytes(self, tmp_path):
+        path = tmp_path / "v.feat"
+        write_feature_file(path, small_dataset())
+        back = read_feature_file(path)
+        for array in (back.grids, back.labels, back.class_ids):
+            assert not array.flags.writeable and not array.flags.owndata
+            base = array
+            while isinstance(base, np.ndarray):
+                base = base.base
+            assert isinstance(base, bytes) and len(base) == path.stat().st_size
+            assert np.shares_memory(array, np.frombuffer(base, dtype=np.uint8))
 
     def test_items_are_read_only_views(self, tmp_path):
         path = tmp_path / "v.feat"
@@ -385,6 +438,17 @@ class TestCutmix:
         base = FeatureMap(rng.normal(size=(4, 4, 2)).astype(np.float32), 0, 0, "base")
         donor = FeatureMap(base.grid + 1.0, 0, 0, "donor")
         return base, donor, np.random.default_rng(1)
+
+    def test_rectangle_draws_fraction_then_row_then_column(self):
+        # cutmix_pseudo_anomaly and the training batch both draw through
+        # cutmix_rectangle, so its draw order fixes both random streams.
+        for seed in range(8):
+            ref = np.random.default_rng(seed)
+            side = np.sqrt(ref.uniform(0.02, 0.4))
+            rect_h, rect_w = max(1, round(4 * side)), max(1, round(8 * side))
+            top, left = ref.integers(0, 4 - rect_h + 1), ref.integers(0, 8 - rect_w + 1)
+            want = (slice(top, top + rect_h), slice(left, left + rect_w))
+            assert cutmix_rectangle(4, 8, np.random.default_rng(seed)) == want
 
     def test_zero_fraction_is_identity(self):
         base, donor, rng = self.grids()

@@ -351,13 +351,14 @@ class TestCompositeScore:
         assert anomaly_score(mgp, heads, grid) == pytest.approx(s_a + s_r - s_n, abs=1e-12)
 
     @pytest.mark.parametrize("epsilon", [1e-3, 0.5])
-    @pytest.mark.parametrize("dims", [(2, 2, 2), (8, 8, 32)])
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (8, 8, 32), (8, 8, 128)])
     def test_score_ignores_the_rest_of_its_chunk(self, rng, epsilon, dims):
         # The chunk's other rows are random, zero, or scaled by 1e3; at
         # D = 2048 an unpadded (M, D) product can round row 0 differently for
-        # different M.
+        # different M.  D = 8192 takes 32 prototypes: its D x C = 2**18 is
+        # past the size SCORE_CHUNK's comment keeps on the calling thread.
         h, w, d = dims
-        mgp = random_mgp(rng, 6, h * w * d, epsilon=epsilon)
+        mgp = random_mgp(rng, 32 if h * w * d > 4096 else 6, h * w * d, epsilon=epsilon)
         heads = random_heads(rng, d)
         grids = rng.normal(size=(SCORE_CHUNK + 5, h, w, d))
         alone = [anomaly_score(mgp, heads, g) for g in grids]

@@ -7,7 +7,8 @@ import pytest
 from dpdl.configio import coerce_fields, parse_kv_text
 from dpdl.errors import CorruptionError, FormatError, ValidationError
 from dpdl import training
-from dpdl.features import Dataset, FeatureMap, SplitPlan, SynthConfig, synth_generate
+from dpdl.features import (Dataset, FeatureMap, SplitPlan, SynthConfig, cutmix_pseudo_anomaly,
+                           synth_generate)
 from dpdl.scoring import HeadLoss
 from dpdl.training import (Checkpoint, OptimizerState, TrainConfig, _clip_global_norm,
                            _draw_batch, load_checkpoint, optimizer_step,
@@ -204,7 +205,7 @@ class TestDrawBatch:
     def test_composition_counts_and_order(self):
         items = self.make_items(8, 3)
         rng = np.random.default_rng(0)
-        grids, labels = _draw_batch(items, list(range(8)), [8, 9, 10], 4, 2, rng)
+        grids, labels = _draw_batch(Dataset(items), list(range(8)), [8, 9, 10], 4, 2, rng)
         assert grids.shape == (4 + 3 + 2, H, W, D) and grids.dtype == np.float64
         assert labels.tolist() == [0, 0, 0, 0] + [1] * 5
         # few anomalies: every one of them appears, in pool order
@@ -216,7 +217,7 @@ class TestDrawBatch:
     def test_many_anomalies_subsampled_sorted(self):
         items = self.make_items(8, 15)
         rng = np.random.default_rng(1)
-        grids, labels = _draw_batch(items, list(range(8)), list(range(8, 23)), 4, 0, rng)
+        grids, labels = _draw_batch(Dataset(items), list(range(8)), list(range(8, 23)), 4, 0, rng)
         picked = self.names(grids[4:])
         assert len(picked) == 10
         assert len(set(picked)) == 10 and all(name[0] == "a" for name in picked)
@@ -225,16 +226,37 @@ class TestDrawBatch:
     def test_small_normal_pool_draws_with_replacement(self):
         items = self.make_items(2, 0)
         rng = np.random.default_rng(2)
-        grids, labels = _draw_batch(items, [0, 1], [], 5, 0, rng)
+        grids, labels = _draw_batch(Dataset(items), [0, 1], [], 5, 0, rng)
         assert grids.shape[0] == 5 and labels.tolist() == [0] * 5
         assert set(self.names(grids)) <= {"n0", "n1"}
 
     def test_pseudo_items_are_labeled_anomalous(self):
         items = self.make_items(8, 2)
         rng = np.random.default_rng(3)
-        grids, labels = _draw_batch(items, list(range(8)), [8, 9], 4, 3, rng)
+        grids, labels = _draw_batch(Dataset(items), list(range(8)), [8, 9], 4, 3, rng)
         assert grids.shape[0] == 4 + 2 + 3
         assert labels[4 + 2:].tolist() == [1, 1, 1]
+
+    def test_pseudo_rows_replay_cutmix_bit_for_bit(self):
+        # Random non-square grids, so a misplaced rectangle shows in the rows, and
+        # 15 anomalies, so the anomaly subsample draws before the pseudo rows.
+        rng = np.random.default_rng(4)
+        ds = Dataset([FeatureMap(rng.normal(size=(5, 4, 3)).astype(np.float32), int(i >= 8), 0, f"x{i}")
+                      for i in range(23)])
+        normal_pool, anomaly_pool = list(range(8)), list(range(8, 23))
+        state = rng.bit_generator.state
+        grids, labels = _draw_batch(ds, normal_pool, anomaly_pool, 4, 6, rng)
+        replay = np.random.default_rng()
+        replay.bit_generator.state = state
+        replay.choice(8, size=4, replace=False)
+        replay.choice(15, size=10, replace=False)
+        for row in range(4 + 10, 4 + 10 + 6):
+            base = ds.items[normal_pool[replay.integers(8)]]
+            donor = ds.items[(normal_pool + anomaly_pool)[replay.integers(23)]]
+            want = cutmix_pseudo_anomaly(base, donor, replay)
+            assert grids[row].tobytes() == want.grid.astype(np.float64).tobytes()
+            assert labels[row] == want.label
+        assert replay.bit_generator.state == rng.bit_generator.state
 
 
 class TestTrainLoop:
