@@ -17,7 +17,7 @@ import numpy as np
 
 from .atomic import atomic_open
 from .errors import UndefinedMetricError, ValidationError
-from .features import Dataset, make_splits
+from .features import Dataset, checked_ids, make_splits
 from .prototypes import mgp_realize, vq_init
 from .scoring import anomaly_scores
 from .training import Checkpoint, TrainConfig, TrainResult, train
@@ -52,7 +52,7 @@ def score_dataset(ckpt: Checkpoint, dataset: Dataset, item_ids=None) -> list:
     gathers SCORE_CHUNK rows of ``dataset.grids`` per pass, so the scored
     items are never copied.  ValidationError unless each id names an item.
     """
-    ids = np.arange(len(dataset)) if item_ids is None else dataset.checked_ids(item_ids)
+    ids = np.arange(len(dataset)) if item_ids is None else checked_ids(item_ids, len(dataset))
     scores = anomaly_scores(mgp_realize(ckpt.params), ckpt.heads, dataset,
                             ckpt.config.residual_scale, ids)
     return list(zip([dataset.source_ids[i] for i in ids.tolist()], dataset.labels[ids].tolist(), scores.tolist()))
@@ -108,12 +108,13 @@ def nearest_prototype_baseline_auc(dataset: Dataset, split, n_codewords: int, se
     Fits the vector quantizer on the training normals and scores each test
     item by its distance to the nearest codeword.
     """
+    train_ids, test_ids = (checked_ids(ids, len(dataset)) for ids in (split.train_normal_ids, split.test_ids))
     flats = dataset.grids.reshape(len(dataset), -1)
-    train_normals = flats[list(split.train_normal_ids)].astype(np.float64)
+    train_normals = flats[train_ids].astype(np.float64)
     codebook = vq_init(train_normals, min(n_codewords, len(train_normals)), seed=seed).codebook
-    x = flats[list(split.test_ids)].astype(np.float64)
+    x = flats[test_ids].astype(np.float64)
     d2 = np.min([np.sum((c - x) ** 2, axis=1) for c in codebook], axis=0)
-    return auc(np.sqrt(d2), dataset.labels[list(split.test_ids)])
+    return auc(np.sqrt(d2), dataset.labels[test_ids])
 
 
 def format_report(report: Report) -> str:

@@ -114,7 +114,7 @@ class FeatureMap:
             and self.class_id == other.class_id
             and self.source_id == other.source_id
             and self.grid.shape == other.grid.shape
-            and np.array_equal(self.grid, other.grid)
+            and self.grid.tobytes() == other.grid.tobytes()
         )
 
 
@@ -163,19 +163,21 @@ class Dataset:
     def dims(self) -> tuple[int, int, int]:
         return self.grids.shape[1:]  # type: ignore[return-value]
 
-    def checked_ids(self, ids) -> np.ndarray:
-        """``ids`` as an int64 vector; ValidationError unless each is an integer naming an item."""
-        ids = np.asarray(ids).reshape(-1)
-        bad = ids[(ids < 0) | (ids >= len(self)) | (ids != ids.astype(np.int64))]
-        if bad.size:
-            raise ValidationError(f"{bad[0]} is not an item id of a dataset of size {len(self)}")
-        return ids.astype(np.int64)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
         return (self.source_ids == other.source_ids and np.array_equal(self.labels, other.labels)
-                and np.array_equal(self.class_ids, other.class_ids) and np.array_equal(self.grids, other.grids))
+                and np.array_equal(self.class_ids, other.class_ids) and self.grids.shape == other.grids.shape
+                and self.grids.tobytes() == other.grids.tobytes())
+
+
+def checked_ids(ids, size: int) -> np.ndarray:
+    """``ids`` as an int64 vector; ValidationError unless each is an integer naming one of ``size`` items."""
+    ids = np.asarray(ids).reshape(-1)
+    bad = ids[(ids < 0) | (ids >= size) | (ids != ids.astype(np.int64))]
+    if bad.size:
+        raise ValidationError(f"{bad[0]} is not an item id of a dataset of size {size}")
+    return ids.astype(np.int64)
 
 
 def canonical_source_id(index: int) -> str:

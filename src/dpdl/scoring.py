@@ -25,7 +25,7 @@ import numpy as np
 from .atomic import atomic_open
 from .bridge import plan_endpoints, plan_weights, posterior_mode_indices
 from .errors import NumericError, ValidationError
-from .features import Dataset, FeatureMap
+from .features import Dataset, FeatureMap, checked_ids
 from .prototypes import MGP
 
 RESIDUAL_SCALES = ("std", "var")
@@ -44,8 +44,8 @@ SCORE_CHUNK = 4
 
 @dataclass
 class LinearHead:
-    """Affine per-cell scorer; the bias is kept as a 1-element array so the
-    optimizer can update it in place like every other parameter."""
+    """Affine per-cell scorer; the bias is a 1-element array so that in a
+    trained checkpoint both are views into the parameter vector θ."""
 
     w: np.ndarray
     b: np.ndarray
@@ -267,7 +267,7 @@ def anomaly_scores(mgp: MGP, heads: ScoringHeads, fms, residual_scale: str = "st
     raises NumericError naming its item.
     """
     grids, names = _rows_of(fms)
-    ids = np.arange(len(grids)) if ids is None else np.asarray(ids, dtype=np.int64)
+    ids = np.arange(len(grids)) if ids is None else checked_ids(ids, len(grids))
     out = np.empty(len(ids))
     frac = heads.topk_fraction
     for start in range(0, len(ids), SCORE_CHUNK):

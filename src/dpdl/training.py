@@ -10,15 +10,19 @@ the reported total; gradients flow into the prototype parameters only
 through the two prototype losses, and into each head only through its own
 loss.
 
+The trained state is four float64 vectors laid out by ``_PARAM_TABLE``:
+the parameters θ, their gradient and AdamW's two moments.  The prototype
+parameters, the heads and the named moments are views into them; the
+gradient clip and AdamW are one ``optimizer_step`` over the vectors.
+
 Checkpoints are a little-endian binary container (magic ``DPDLCKPT``)
-holding the config, all parameters, optimizer state, and the exact random
-generator state, so a resumed run reproduces an uninterrupted one bit for
-bit.
+holding the config, the dimensions the table takes beyond it, one block
+each for θ and the two moments, and the exact random generator state, so
+a resumed run reproduces an uninterrupted one bit for bit.
 """
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import math
 import struct
@@ -30,14 +34,14 @@ import numpy as np
 from .atomic import atomic_open
 from .configio import check_finite_floats, coerce_fields, parse_kv_file
 from .errors import CorruptionError, FormatError, NumericError, ValidationError
-from .features import LABEL_ANOMALY, Dataset, SplitPlan, cutmix_rectangle
+from .features import LABEL_ANOMALY, Dataset, SplitPlan, checked_ids, cutmix_rectangle
 from .losses import loss_dfl, loss_dpl, unitize
-from .prototypes import MGPParams, mgp_new, mgp_realize, vq_init
+from .prototypes import MGPParams, mgp_realize, vq_init
 from .scoring import (RESIDUAL_SCALES, LinearHead, ScoringHeads, head_loss_anomaly,
                       head_loss_normal, head_loss_residual)
 
 CKPT_MAGIC = b"DPDLCKPT"
-CKPT_VERSION = 1
+CKPT_VERSION = 2
 # Per config field type: its tag in a checkpoint and the _Writer/_Reader method for its value.
 _FIELD_CODECS = {"int": (b"i", "u64"), "float": (b"f", "f64"), "str": (b"s", "text")}
 
@@ -108,47 +112,82 @@ def parse_train_config(path: str | Path, **overrides) -> TrainConfig:
     return TrainConfig(**kwargs)
 
 
+# The trained arrays in their order in θ, its gradient and both AdamW moments,
+# each shaped in C prototypes, D values per item and d channels: the prototype
+# logits, means and log variances, then each head's weights and bias.
+_PARAM_TABLE = (("a", "C"), ("m", "CD"), ("s", "CD"), ("w_a", "d"), ("b_a", "1"),
+                ("w_n", "d"), ("b_n", "1"), ("w_r", "d"), ("b_r", "1"))
+
+
+def _layout(c: int, dim: int, channels: int) -> tuple:
+    """``_PARAM_TABLE`` with its shapes resolved: (name, shape) per array."""
+    sizes = {"C": c, "D": dim, "d": channels, "1": 1}
+    return tuple((name, tuple(sizes[k] for k in spec)) for name, spec in _PARAM_TABLE)
+
+
+def _size(layout) -> int:
+    return sum(math.prod(shape) for _, shape in layout)
+
+
+def _views(vec: np.ndarray, layout) -> dict:
+    """The arrays of ``layout`` as named views into consecutive slices of ``vec``."""
+    views, start = {}, 0
+    for name, shape in layout:
+        size = math.prod(shape)
+        views[name] = vec[start:start + size].reshape(shape)
+        start += size
+    return views
+
+
+def _unpack(theta: np.ndarray, layout, config: TrainConfig) -> tuple[MGPParams, ScoringHeads]:
+    """Prototype parameters and heads as views into θ; ε and the top-K fraction come from the config."""
+    v = _views(theta, layout)
+    heads = (LinearHead(v[f"w_{h}"], v[f"b_{h}"]) for h in "anr")
+    return MGPParams(v["a"], v["m"], v["s"], config.epsilon), ScoringHeads(*heads, config.topk_fraction)
+
+
 @dataclass
 class OptimizerState:
-    """Decoupled-weight-decay Adam moments, keyed like the parameter dict."""
+    """AdamW's step count and its first and second moments, the rows of
+    ``moments``, each a vector laid out like θ by ``layout``'s (name, shape)
+    pairs.  ``exp_avg`` and ``exp_avg_sq`` name views into the rows."""
 
-    exp_avg: dict
-    exp_avg_sq: dict
+    moments: np.ndarray
+    layout: tuple
     step: int = 0
 
-    @classmethod
-    def for_params(cls, params: dict) -> "OptimizerState":
-        return cls(
-            exp_avg={k: np.zeros_like(v) for k, v in params.items()},
-            exp_avg_sq={k: np.zeros_like(v) for k, v in params.items()},
-            step=0,
-        )
+    @property
+    def exp_avg(self) -> dict:
+        return _views(self.moments[0], self.layout)
+
+    @property
+    def exp_avg_sq(self) -> dict:
+        return _views(self.moments[1], self.layout)
 
 
-def optimizer_step(params: dict, grads: dict, state: OptimizerState, learning_rate: float,
+def optimizer_step(theta: np.ndarray, grad: np.ndarray, state: OptimizerState, learning_rate: float,
                    weight_decay: float) -> None:
-    """One in-place AdamW update over a named parameter dict.
+    """Clip ``grad`` in place to global norm GRAD_CLIP_NORM, then one in-place AdamW update of ``theta``.
 
+    The norm adds each array's sum of squares in layout order.  Then
     theta <- theta - lr * (m_hat / (sqrt(v_hat) + ADAM_EPS) + wd * theta)
     with first and second moments bias-corrected for ADAM_BETA1 and ADAM_BETA2.
     """
-    if set(params) != set(grads):
-        raise ValidationError(f"parameter/gradient keys differ: {sorted(params)} vs {sorted(grads)}")
+    if not grad.shape == theta.shape == (_size(state.layout),) or state.moments.shape != (2,) + theta.shape:
+        raise ValidationError(f"θ {theta.shape}, gradient {grad.shape} or moments {state.moments.shape} misfit layout")
+    total = np.sqrt(sum(float(np.sum(g * g)) for g in _views(grad, state.layout).values()))
+    if total > GRAD_CLIP_NORM:
+        grad *= GRAD_CLIP_NORM / total
     state.step += 1
     bc1 = 1.0 - ADAM_BETA1 ** state.step
     bc2 = 1.0 - ADAM_BETA2 ** state.step
-    for name, theta in params.items():
-        g = grads[name]
-        if g.shape != theta.shape:
-            raise ValidationError(f"gradient shape {g.shape} != parameter shape {theta.shape} for {name!r}")
-        m = state.exp_avg[name]
-        v = state.exp_avg_sq[name]
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS) + weight_decay * theta
-        theta -= learning_rate * update
+    m, v = state.moments
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grad
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * grad * grad
+    update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS) + weight_decay * theta
+    theta -= learning_rate * update
 
 
 @dataclass(frozen=True)
@@ -177,37 +216,22 @@ def format_training_log(rows) -> str:
 
 @dataclass
 class Checkpoint:
+    """Trained state.  ``params`` and ``heads`` are views into ``theta``, the vector
+    ``save_checkpoint`` writes: in-place edits of their arrays are saved, replaced objects are not."""
+
     config: TrainConfig
     params: MGPParams
     heads: ScoringHeads
     opt: OptimizerState
     rng_state: dict
     epoch: int
+    theta: np.ndarray
 
 
 @dataclass(frozen=True)
 class TrainResult:
     checkpoint: Checkpoint
     log: tuple
-
-
-# Names of the trained arrays, in the order of the parameter and gradient
-# dicts and of the optimizer moments in a checkpoint.
-_PARAM_NAMES = ("a", "m", "s", "w_a", "b_a", "w_n", "b_n", "w_r", "b_r")
-
-
-def _param_dict(params: MGPParams, heads: ScoringHeads) -> dict:
-    return dict(zip(_PARAM_NAMES, (params.a, params.m, params.s,
-                                  heads.anomaly.w, heads.anomaly.b, heads.normal.w, heads.normal.b,
-                                  heads.residual.w, heads.residual.b)))
-
-
-def _clip_global_norm(grads: dict, max_norm: float) -> None:
-    total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-    if total > max_norm:
-        scale = max_norm / total
-        for g in grads.values():
-            g *= scale
 
 
 def train(dataset: Dataset, split: SplitPlan, config: TrainConfig,
@@ -218,28 +242,30 @@ def train(dataset: Dataset, split: SplitPlan, config: TrainConfig,
     epoch budget; the random stream picks up exactly where it stopped, so
     a 25+25-epoch run equals a straight 50-epoch run bit for bit.
     """
-    normal_pool, anomaly_pool, _ = (dataset.checked_ids(ids) for ids in (
+    normal_pool, anomaly_pool, _ = (checked_ids(ids, len(dataset)) for ids in (
         split.train_normal_ids, split.train_anomaly_ids, split.test_ids))
     if not len(normal_pool):
         raise ValidationError("split has no training normals")
 
+    layout = _layout(config.n_prototypes, math.prod(dataset.dims), dataset.dims[2])
     if resume is None:
         flats = dataset.grids[normal_pool].reshape(len(normal_pool), -1).astype(np.float64)
         init = vq_init(flats, config.n_prototypes, max_iters=VQ_MAX_ITERS, seed=config.seed)
-        params = mgp_new(init, config.epsilon)
-        heads = ScoringHeads.zeros(dataset.dims[2], config.topk_fraction)
-        opt = OptimizerState.for_params(_param_dict(params, heads))
+        # Uniform weights, unit variances, means at the codebook, zero heads.
+        theta = np.zeros(_size(layout))
+        opt = OptimizerState(np.zeros((2, len(theta))), layout)
+        _views(theta, layout)["m"][...] = init.codebook
         rng = np.random.default_rng([config.seed, 0x0D9D])
         start_epoch = 0
     else:
-        _check_resume(resume, config)
-        resume = copy.deepcopy(resume)
-        params, heads, opt = resume.params, resume.heads, resume.opt
+        _check_resume(resume, config, layout)
+        theta = resume.theta.copy()
+        opt = OptimizerState(resume.opt.moments.copy(), layout, resume.opt.step)
         rng = np.random.default_rng()
         rng.bit_generator.state = resume.rng_state
         start_epoch = resume.epoch
 
-    pdict = _param_dict(params, heads)
+    params, heads = _unpack(theta, layout, config)
     n_pseudo = int(np.floor(config.pseudo_anomaly_rate * config.batch_size))
     log_rows: list[EpochLog] = []
 
@@ -256,8 +282,8 @@ def train(dataset: Dataset, split: SplitPlan, config: TrainConfig,
             flats = grids.reshape(len(grids), -1)
             anomalous = flats[config.batch_size:]
             dpl = loss_dpl(mgp, flats[:config.batch_size], anomalous if len(anomalous) else None)
-            grads = dict(zip(_PARAM_NAMES, (dpl.grad_a, dpl.grad_m, dpl.grad_s, ha.grad_w, ha.grad_b,
-                                           hn.grad_w, hn.grad_b, hr.grad_w, hr.grad_b)))
+            grad = np.concatenate([g.reshape(-1) for g in (dpl.grad_a, dpl.grad_m, dpl.grad_s, ha.grad_w,
+                                                            ha.grad_b, hn.grad_w, hn.grad_b, hr.grad_w, hr.grad_b)])
 
             dfl = loss_dfl(unitize(flats), config.kappa)
 
@@ -268,15 +294,13 @@ def train(dataset: Dataset, split: SplitPlan, config: TrainConfig,
                     f"L_Ma={l_ma} L_Mn={l_mn} L_Mr={l_mr} "
                     f"L_DPLn={dpl.normal} L_DPLa={dpl.anomaly} L_DFL={dfl.value}")
 
-            _clip_global_norm(grads, GRAD_CLIP_NORM)
-            optimizer_step(pdict, grads, opt, config.learning_rate, config.weight_decay)
+            optimizer_step(theta, grad, opt, config.learning_rate, config.weight_decay)
 
             sums += np.array([l_ma, l_mn, l_mr, dpl.normal, dpl.anomaly, dfl.value, total])
         means = sums / config.iters_per_epoch
         log_rows.append(EpochLog(epoch + 1, *[float(v) for v in means]))
 
-    ckpt = Checkpoint(config=config, params=params, heads=heads, opt=opt,
-                      rng_state=rng.bit_generator.state, epoch=config.epochs)
+    ckpt = Checkpoint(config, params, heads, opt, rng.bit_generator.state, config.epochs, theta)
     return TrainResult(checkpoint=ckpt, log=tuple(log_rows))
 
 
@@ -306,7 +330,7 @@ def _draw_batch(dataset, normal_pool, anomaly_pool, batch_size, n_pseudo, rng):
     return grids, labels
 
 
-def _check_resume(ckpt: Checkpoint, config: TrainConfig) -> None:
+def _check_resume(ckpt: Checkpoint, config: TrainConfig, layout) -> None:
     for field in dataclasses.fields(TrainConfig):
         if field.name == "epochs":
             continue
@@ -316,6 +340,8 @@ def _check_resume(ckpt: Checkpoint, config: TrainConfig) -> None:
                 f"({getattr(ckpt.config, field.name)!r} -> {getattr(config, field.name)!r})")
     if config.epochs < ckpt.epoch:
         raise ValidationError(f"cannot resume: checkpoint is at epoch {ckpt.epoch}, budget is {config.epochs}")
+    if ckpt.opt.layout != layout:
+        raise ValidationError(f"cannot resume: checkpoint arrays {ckpt.opt.layout} do not fit this dataset's {layout}")
 
 
 # ---------------------------------------------------------------------------
@@ -337,12 +363,9 @@ class _Writer:
         self.u32(len(raw))
         self.buf += raw
 
-    def array(self, arr: np.ndarray):
-        arr = np.ascontiguousarray(arr, dtype="<f8")
-        self.u32(arr.ndim)
-        for n in arr.shape:
-            self.u64(n)
-        self.buf += arr.tobytes()
+    def vector(self, vec: np.ndarray):
+        self.u64(len(vec))
+        self.buf += np.ascontiguousarray(vec, dtype="<f8").tobytes()
 
 
 class _Reader:
@@ -370,16 +393,11 @@ class _Reader:
         except UnicodeDecodeError:
             raise CorruptionError(f"{self.origin}: checkpoint text is not UTF-8") from None
 
-    def array(self) -> np.ndarray:
-        ndim = self.u32()
-        if ndim > 2:
-            raise CorruptionError(f"{self.origin}: {ndim}-dimensional array, not a vector or matrix")
-        shape = tuple(self.u64() for _ in range(ndim))
-        # Positive dimensions multiplied as Python ints: the payload bounds the shape before numpy sees it.
-        if 0 in shape:
-            raise CorruptionError(f"{self.origin}: empty array of shape {shape}")
-        raw = self.take(8 * math.prod(shape))
-        return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+    def vector(self, size: int) -> np.ndarray:
+        n = self.u64()
+        if n != size:
+            raise CorruptionError(f"{self.origin}: block of {n} values where the parameter layout has {size}")
+        return np.frombuffer(self.take(8 * n), dtype="<f8").astype(np.float64)
 
 
 def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
@@ -390,20 +408,13 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
         tag, method = _FIELD_CODECS[field.type]
         w.buf += tag
         getattr(w, method)(getattr(ckpt.config, field.name))
-    w.f64(ckpt.params.epsilon)
-    w.array(ckpt.params.a)
-    w.array(ckpt.params.m)
-    w.array(ckpt.params.s)
-    w.f64(ckpt.heads.topk_fraction)
-    for head in (ckpt.heads.anomaly, ckpt.heads.normal, ckpt.heads.residual):
-        w.array(head.w)
-        w.array(head.b)
+    w.u64(ckpt.params.dim)
+    w.u64(ckpt.heads.channels)
     w.u64(ckpt.opt.step)
-    for key in _PARAM_NAMES:
-        w.array(ckpt.opt.exp_avg[key])
-        w.array(ckpt.opt.exp_avg_sq[key])
     _write_rng_state(w, ckpt.rng_state)
     w.u64(ckpt.epoch)
+    for vec in (ckpt.theta, *ckpt.opt.moments):
+        w.vector(vec)
     with atomic_open(path, "wb") as fh:
         fh.write(w.buf)
 
@@ -427,26 +438,18 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             raise CorruptionError(f"{path}: bad tag for config field {field.name!r}")
         kwargs[field.name] = getattr(r, method)()
     config = TrainConfig(**kwargs)
-    epsilon = r.f64()
-    params = MGPParams(r.array(), r.array(), r.array(), epsilon)
-    topk_fraction = r.f64()
-    heads = ScoringHeads(
-        anomaly=LinearHead(r.array(), r.array()),
-        normal=LinearHead(r.array(), r.array()),
-        residual=LinearHead(r.array(), r.array()),
-        topk_fraction=topk_fraction,
-    )
+    dim, channels = r.u64(), r.u64()
+    if dim < 1 or channels < 1:
+        raise CorruptionError(f"{path}: {dim} values per item and {channels} channels, need both positive")
+    layout = _layout(config.n_prototypes, dim, channels)
     step = int(r.u64())
-    exp_avg, exp_avg_sq = {}, {}
-    for key in _PARAM_NAMES:
-        exp_avg[key], exp_avg_sq[key] = r.array(), r.array()
-    opt = OptimizerState(exp_avg=exp_avg, exp_avg_sq=exp_avg_sq, step=step)
     rng_state = _read_rng_state(r)
     epoch = int(r.u64())
+    theta = r.vector(_size(layout))
+    opt = OptimizerState(np.array([r.vector(len(theta)), r.vector(len(theta))]), layout, step)
     if r.pos != len(blob):
         raise CorruptionError(f"{path}: {len(blob) - r.pos} trailing bytes")
-    return Checkpoint(config=config, params=params, heads=heads, opt=opt,
-                      rng_state=rng_state, epoch=epoch)
+    return Checkpoint(config, *_unpack(theta, layout, config), opt, rng_state, epoch, theta)
 
 
 def _write_rng_state(w: _Writer, state: dict) -> None:
@@ -462,11 +465,5 @@ def _write_rng_state(w: _Writer, state: dict) -> None:
 def _read_rng_state(r: _Reader) -> dict:
     state = int.from_bytes(r.take(16), "little")
     inc = int.from_bytes(r.take(16), "little")
-    has_uint32 = int(r.u32())
-    uinteger = int(r.u32())
-    return {
-        "bit_generator": "PCG64",
-        "state": {"state": state, "inc": inc},
-        "has_uint32": has_uint32,
-        "uinteger": uinteger,
-    }
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": int(r.u32()), "uinteger": int(r.u32())}

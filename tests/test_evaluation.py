@@ -201,6 +201,18 @@ class TestBaseline:
         value = nearest_prototype_baseline_auc(ds, split, 32, seed=0)
         assert 0.0 <= value <= 1.0
 
+    @pytest.mark.parametrize("bad", [-1, "len"])
+    def test_ids_that_name_no_item_are_rejected(self, bad):
+        # A test id of -1 scored the last item and one of len(ds) ended in
+        # a bare IndexError.
+        ds = blobby_dataset()
+        split = make_splits(ds, "general", 2, seed=0)
+        bad = len(ds) if bad == "len" else bad
+        for field in ("test_ids", "train_normal_ids"):
+            broken = dataclasses.replace(split, **{field: getattr(split, field) + (bad,)})
+            with pytest.raises(ValidationError, match=f"{bad} is not an item id"):
+                nearest_prototype_baseline_auc(ds, broken, 8, seed=0)
+
 
 class TestRunExperiment:
     def test_single_run_has_zero_std(self):

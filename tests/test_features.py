@@ -57,6 +57,11 @@ class TestFeatureMap:
         c = FeatureMap(np.ones((1, 1, 2)) + 1e-7, 0, 0, "x")
         assert a == b
         assert a != c
+        # 0.0 == -0.0 as numbers, but their bits differ.
+        zero, minus_zero = (FeatureMap(v * np.zeros((1, 1, 1)), 0, 0, "x") for v in (1.0, -1.0))
+        assert zero != minus_zero
+        assert Dataset([zero]) != Dataset([minus_zero])
+        assert Dataset([zero]) == Dataset([FeatureMap(np.zeros((1, 1, 1)), 0, 0, "x")])
 
 
 class TestDataset:

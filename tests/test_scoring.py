@@ -380,6 +380,16 @@ class TestCompositeScore:
         with pytest.raises(ValidationError):
             anomaly_scores(mgp, heads, [fms[0].grid, np.zeros((1, 2, 2))])
 
+    @pytest.mark.parametrize("bad", [3, -1])
+    def test_ids_that_name_no_row_are_rejected(self, rng, bad):
+        # ids=[3] on three rows ended in a bare IndexError and ids=[-1]
+        # scored the last row.
+        mgp = random_mgp(rng, 2, 8)
+        heads = random_heads(rng, 2)
+        grids = rng.normal(size=(3, 2, 2, 2))
+        with pytest.raises(ValidationError, match=f"{bad} is not an item id"):
+            anomaly_scores(mgp, heads, grids, ids=[bad])
+
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_non_finite_score_raises(self, rng):
         mgp = random_mgp(rng, 2, 8)

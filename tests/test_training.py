@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import struct
 
@@ -10,9 +11,8 @@ from dpdl import training
 from dpdl.features import (Dataset, FeatureMap, SplitPlan, SynthConfig, cutmix_pseudo_anomaly,
                            synth_generate)
 from dpdl.scoring import HeadLoss
-from dpdl.training import (Checkpoint, OptimizerState, TrainConfig, _clip_global_norm,
-                           _draw_batch, load_checkpoint, optimizer_step,
-                           parse_train_config, save_checkpoint, train)
+from dpdl.training import (Checkpoint, OptimizerState, TrainConfig, _draw_batch, load_checkpoint,
+                           optimizer_step, parse_train_config, save_checkpoint, train)
 
 H, W, D = 2, 2, 3
 
@@ -64,64 +64,75 @@ def checkpoints_equal(a: Checkpoint, b: Checkpoint) -> bool:
     return all(np.array_equal(x, y) for x, y in pairs)
 
 
+def one_array(n):
+    """A layout of one n-vector named "x"."""
+    return (("x", (n,)),)
+
+
+def fresh_state(n):
+    return OptimizerState(np.zeros((2, n)), one_array(n))
+
+
 class TestOptimizerStep:
     def test_single_step_hand_value(self):
-        theta = {"x": np.array([1.0])}
-        state = OptimizerState.for_params(theta)
-        optimizer_step(theta, {"x": np.array([1.0])}, state, 0.1, 0.0)
+        theta = np.array([1.0])
+        state = fresh_state(1)
+        optimizer_step(theta, np.array([1.0]), state, 0.1, 0.0)
         # bias correction makes the first step lr * g/|g| up to eps_hat
         want = 1.0 - 0.1 * (1.0 / (1.0 + 1e-8))
-        assert theta["x"][0] == pytest.approx(want, abs=1e-16)
+        assert theta[0] == pytest.approx(want, abs=1e-16)
         assert state.step == 1
 
     def test_weight_decay_is_decoupled(self):
         # Zero gradient: the only motion is multiplicative decay.
-        theta = {"x": np.array([2.0])}
-        state = OptimizerState.for_params(theta)
+        theta = np.array([2.0])
+        state = fresh_state(1)
         for _ in range(5):
-            optimizer_step(theta, {"x": np.zeros(1)}, state, 0.1, 0.5)
-        assert theta["x"][0] == pytest.approx(2.0 * (1 - 0.1 * 0.5) ** 5, rel=1e-14)
+            optimizer_step(theta, np.zeros(1), state, 0.1, 0.5)
+        assert theta[0] == pytest.approx(2.0 * (1 - 0.1 * 0.5) ** 5, rel=1e-14)
 
     def test_three_steps_match_manual_recurrence(self, rng):
         lr, wd, b1, b2, eh = 0.05, 0.01, 0.9, 0.999, 1e-8
-        theta = {"x": rng.normal(size=4)}
-        ref = theta["x"].copy()
+        theta = rng.normal(size=4)
+        ref = theta.copy()
         grads = [rng.normal(size=4) for _ in range(3)]
-        state = OptimizerState.for_params(theta)
+        state = fresh_state(4)
         m = np.zeros(4)
         v = np.zeros(4)
         for t, g in enumerate(grads, start=1):
-            optimizer_step(theta, {"x": g}, state, lr, wd)
+            optimizer_step(theta, g.copy(), state, lr, wd)
             m = b1 * m + (1 - b1) * g
             v = b2 * v + (1 - b2) * g * g
             mh = m / (1 - b1 ** t)
             vh = v / (1 - b2 ** t)
             ref = ref - lr * (mh / (np.sqrt(vh) + eh) + wd * ref)
-        assert np.allclose(theta["x"], ref, atol=1e-15)
+        assert np.allclose(theta, ref, atol=1e-15)
+        assert np.array_equal(state.exp_avg["x"], state.moments[0])
 
-    def test_key_and_shape_mismatches(self):
-        theta = {"x": np.zeros(2)}
-        state = OptimizerState.for_params(theta)
+    def test_shape_mismatches(self):
+        theta = np.zeros(2)
+        state = fresh_state(2)
         with pytest.raises(ValidationError):
-            optimizer_step(theta, {"y": np.zeros(2)}, state, 0.1, 0.0)
+            optimizer_step(theta, np.zeros(3), state, 0.1, 0.0)
         with pytest.raises(ValidationError):
-            optimizer_step(theta, {"x": np.zeros(3)}, state, 0.1, 0.0)
+            optimizer_step(np.zeros(3), np.zeros(3), state, 0.1, 0.0)
 
 
 class TestGradClip:
+    # optimizer_step clips the gradient in place before it updates.
     def test_rescales_to_max_norm(self):
-        grads = {"a": np.full(4, 10.0), "b": np.full(9, 10.0)}  # norm sqrt(1300)
-        _clip_global_norm(grads, 10.0)
-        total = np.sqrt(sum(np.sum(g * g) for g in grads.values()))
-        assert total == pytest.approx(10.0, rel=1e-12)
+        grad = np.full(4 + 9, 10.0)  # norm sqrt(1300)
+        state = OptimizerState(np.zeros((2, 13)), (("a", (4,)), ("b", (9,))))
+        optimizer_step(np.zeros(13), grad, state, 0.1, 0.0)
+        assert np.sqrt(np.sum(grad * grad)) == pytest.approx(10.0, rel=1e-12)
         # direction preserved
-        assert np.allclose(grads["a"] / grads["a"][0], np.ones(4), atol=1e-15)
+        assert np.allclose(grad / grad[0], np.ones(13), atol=1e-15)
 
     def test_leaves_small_gradients_alone(self):
         g = np.array([1.0, 2.0, 3.0])
-        grads = {"g": g.copy()}
-        _clip_global_norm(grads, 10.0)
-        assert np.array_equal(grads["g"], g)
+        grad = g.copy()
+        optimizer_step(np.zeros(3), grad, fresh_state(3), 0.1, 0.0)
+        assert np.array_equal(grad, g)
 
 
 class TestTrainConfig:
@@ -422,10 +433,20 @@ class TestResume:
     def test_resume_does_not_mutate_the_checkpoint(self):
         ds = tiny_dataset()
         split = tiny_split(ds)
-        first = train(ds, split, tiny_config())
-        frozen_m = first.checkpoint.params.m.copy()
-        train(ds, split, tiny_config(epochs=4), resume=first.checkpoint)
-        assert np.array_equal(first.checkpoint.params.m, frozen_m)
+        first = train(ds, split, tiny_config()).checkpoint
+        frozen = copy.deepcopy(first)
+        train(ds, split, tiny_config(epochs=4), resume=first)
+        # Every named array, both moments and the step count.
+        assert checkpoints_equal(first, frozen)
+
+    def test_resume_rejects_other_dataset_dims(self):
+        ds = tiny_dataset()
+        first = train(ds, tiny_split(ds), tiny_config()).checkpoint
+        other = Dataset([FeatureMap(np.zeros((H, W, D + 1), dtype=np.float32), 0, 0, f"n{i}")
+                         for i in range(4)])
+        split = SplitPlan((0, 1, 2), (), (3,), protocol="general", m=0, seed=0)
+        with pytest.raises(ValidationError, match="do not fit"):
+            train(other, split, tiny_config(epochs=4), resume=first)
 
 
 class TestCheckpointIO:
@@ -490,6 +511,45 @@ class TestCheckpointIO:
         path.write_bytes(blob[:6])
         with pytest.raises(CorruptionError):
             load_checkpoint(path)
+
+    def test_epsilon_and_topk_fraction_come_from_the_config(self, tmp_path):
+        # Version 1 stored both a second time beside the arrays, and nothing
+        # checked that the copies agreed: these loaded, and a resumed run
+        # trained at epsilon 0.9.
+        ckpt = self.trained()
+        ckpt.params.epsilon, ckpt.heads.topk_fraction = 0.9, 0.5
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, ckpt)
+        back = load_checkpoint(path)
+        assert back.params.epsilon == back.config.epsilon == 0.5
+        assert back.heads.topk_fraction == back.config.topk_fraction == 0.25
+
+    @pytest.mark.parametrize("block", [0, 1, 2])
+    def test_block_of_the_wrong_length_is_corrupt(self, tmp_path, block):
+        # Blocks theta, exp_avg, exp_avg_sq end the file, each a u64 length
+        # and its values: one value fewer in block ``block`` must not load.
+        ckpt = self.trained()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, ckpt)
+        blob = path.read_bytes()
+        n = len(ckpt.theta)
+        start = len(blob) - (3 - block) * (8 + 8 * n)
+        assert struct.unpack_from("<Q", blob, start)[0] == n
+        short = bytearray(blob[:start + 8 + 8 * (n - 1)] + blob[start + 8 + 8 * n:])
+        struct.pack_into("<Q", short, start, n - 1)
+        path.write_bytes(bytes(short))
+        with pytest.raises(CorruptionError, match="layout"):
+            load_checkpoint(path)
+
+    def test_in_place_edits_are_saved(self, tmp_path):
+        ckpt = self.trained()
+        ckpt.heads.anomaly.w[:] = 7.0
+        ckpt.opt.exp_avg["m"][0, 0] = 3.0
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, ckpt)
+        back = load_checkpoint(path)
+        assert np.all(back.heads.anomaly.w == 7.0) and back.opt.exp_avg["m"][0, 0] == 3.0
+        assert checkpoints_equal(ckpt, back)
 
     def test_trailing_bytes_rejected(self, tmp_path):
         ckpt = self.trained()
