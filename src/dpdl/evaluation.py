@@ -52,9 +52,10 @@ def score_dataset(ckpt: Checkpoint, dataset: Dataset, item_ids=None) -> list:
     gathers SCORE_CHUNK rows of ``dataset.grids`` per pass, so the scored
     items are never copied.  ValidationError unless each id names an item.
     """
-    ids = np.arange(len(dataset)) if item_ids is None else checked_ids(item_ids, len(dataset))
+    ids = np.arange(len(dataset)) if item_ids is None else np.asarray(item_ids)
     scores = anomaly_scores(mgp_realize(ckpt.params), ckpt.heads, dataset,
                             ckpt.config.residual_scale, ids)
+    ids = ids.reshape(-1).astype(np.int64)  # anomaly_scores checked that each names an item
     return list(zip([dataset.source_ids[i] for i in ids.tolist()], dataset.labels[ids].tolist(), scores.tolist()))
 
 

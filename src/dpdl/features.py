@@ -58,10 +58,12 @@ def _check_items(grids, labels, class_ids, error, name, *faults) -> None:
     the caller's (mask, reason) ``faults``, a label not 0 or 1, a class id
     outside u32, a non-finite grid value.  A float64 sum of finite float32
     values cannot overflow, so an item's sum is finite exactly when all its
-    values are."""
+    values are; the sum of +inf and -inf is a NaN, not a warning."""
+    with np.errstate(invalid="ignore"):
+        sums = grids.sum(axis=(1, 2, 3), dtype=np.float64)
     faults += (((labels != LABEL_NORMAL) & (labels != LABEL_ANOMALY), lambda i: f"has label {labels[i]}"),
                ((class_ids < 0) | (class_ids > 0xFFFFFFFF), lambda i: f"has class id {class_ids[i]} outside u32"),
-               (~np.isfinite(grids.sum(axis=(1, 2, 3), dtype=np.float64)), lambda i: "contains non-finite values"))
+               (~np.isfinite(sums), lambda i: "contains non-finite values"))
     bad = np.flatnonzero(np.logical_or.reduce([mask for mask, _ in faults]))
     if bad.size:
         i = int(bad[0])

@@ -15,10 +15,12 @@ the parameters θ, their gradient and AdamW's two moments.  The prototype
 parameters, the heads and the named moments are views into them; the
 gradient clip and AdamW are one ``optimizer_step`` over the vectors.
 
-Checkpoints are a little-endian binary container (magic ``DPDLCKPT``)
-holding the config, the dimensions the table takes beyond it, one block
-each for θ and the two moments, and the exact random generator state, so
-a resumed run reproduces an uninterrupted one bit for bit.
+A checkpoint (magic ``DPDLCKPT``, version 3) is a little-endian
+``_CKPT_HEADER`` holding the dimensions the table takes beyond the config,
+AdamW's step, the exact random generator state and the epoch, so a resumed
+run reproduces an uninterrupted one bit for bit; then the config as
+``key = value`` text, one line per ``TrainConfig`` field; then θ and the two
+moments as one block of float64 values.  θ is the only copy of the model.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import atomic_open
-from .configio import check_finite_floats, coerce_fields, parse_kv_file
+from .configio import check_finite_floats, coerce_fields, parse_kv_file, parse_kv_text
 from .errors import CorruptionError, FormatError, NumericError, ValidationError
 from .features import LABEL_ANOMALY, Dataset, SplitPlan, checked_ids, cutmix_rectangle
 from .losses import loss_dfl, loss_dpl, unitize
@@ -41,9 +43,7 @@ from .scoring import (RESIDUAL_SCALES, LinearHead, ScoringHeads, head_loss_anoma
                       head_loss_normal, head_loss_residual)
 
 CKPT_MAGIC = b"DPDLCKPT"
-CKPT_VERSION = 2
-# Per config field type: its tag in a checkpoint and the _Writer/_Reader method for its value.
-_FIELD_CODECS = {"int": (b"i", "u64"), "float": (b"f", "f64"), "str": (b"s", "text")}
+CKPT_VERSION = 3
 
 # At most this many observed anomalies enter a single iteration; with ten or
 # fewer available they are all used every time.
@@ -216,16 +216,23 @@ def format_training_log(rows) -> str:
 
 @dataclass
 class Checkpoint:
-    """Trained state.  ``params`` and ``heads`` are views into ``theta``, the vector
-    ``save_checkpoint`` writes: in-place edits of their arrays are saved, replaced objects are not."""
+    """Trained state.  θ is the only copy of the model: ``params`` and ``heads``
+    are views into it built on each access, so in-place edits of their arrays
+    are saved and there is no object to replace."""
 
     config: TrainConfig
-    params: MGPParams
-    heads: ScoringHeads
     opt: OptimizerState
     rng_state: dict
     epoch: int
     theta: np.ndarray
+
+    @property
+    def params(self) -> MGPParams:
+        return _unpack(self.theta, self.opt.layout, self.config)[0]
+
+    @property
+    def heads(self) -> ScoringHeads:
+        return _unpack(self.theta, self.opt.layout, self.config)[1]
 
 
 @dataclass(frozen=True)
@@ -300,7 +307,7 @@ def train(dataset: Dataset, split: SplitPlan, config: TrainConfig,
         means = sums / config.iters_per_epoch
         log_rows.append(EpochLog(epoch + 1, *[float(v) for v in means]))
 
-    ckpt = Checkpoint(config, params, heads, opt, rng.bit_generator.state, config.epochs, theta)
+    ckpt = Checkpoint(config, opt, rng.bit_generator.state, config.epochs, theta)
     return TrainResult(checkpoint=ckpt, log=tuple(log_rows))
 
 
@@ -347,123 +354,65 @@ def _check_resume(ckpt: Checkpoint, config: TrainConfig, layout) -> None:
 # ---------------------------------------------------------------------------
 # Checkpoint serialization.
 
-
-class _Writer:
-    def __init__(self):
-        self.buf = bytearray()
-
-    def u32(self, v): self.buf += struct.pack("<I", v)
-
-    def u64(self, v): self.buf += struct.pack("<Q", v)
-
-    def f64(self, v): self.buf += struct.pack("<d", v)
-
-    def text(self, s: str):
-        raw = s.encode("utf-8")
-        self.u32(len(raw))
-        self.buf += raw
-
-    def vector(self, vec: np.ndarray):
-        self.u64(len(vec))
-        self.buf += np.ascontiguousarray(vec, dtype="<f8").tobytes()
-
-
-class _Reader:
-    def __init__(self, blob: bytes, origin: str):
-        self.blob = blob
-        self.pos = 0
-        self.origin = origin
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.blob):
-            raise CorruptionError(f"{self.origin}: truncated checkpoint payload")
-        out = self.blob[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    def u32(self): return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self): return struct.unpack("<Q", self.take(8))[0]
-
-    def f64(self): return struct.unpack("<d", self.take(8))[0]
-
-    def text(self) -> str:
-        try:
-            return self.take(self.u32()).decode("utf-8")
-        except UnicodeDecodeError:
-            raise CorruptionError(f"{self.origin}: checkpoint text is not UTF-8") from None
-
-    def vector(self, size: int) -> np.ndarray:
-        n = self.u64()
-        if n != size:
-            raise CorruptionError(f"{self.origin}: block of {n} values where the parameter layout has {size}")
-        return np.frombuffer(self.take(8 * n), dtype="<f8").astype(np.float64)
+# Magic, version, the config text's byte length, D, d, AdamW's step, PCG64's
+# state and increment, its has_uint32 and uinteger, the epoch.
+_CKPT_HEADER = struct.Struct("<8sIIQQQ16s16sIIQ")
 
 
 def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
-    w = _Writer()
-    w.buf += CKPT_MAGIC
-    w.u32(CKPT_VERSION)
-    for field in dataclasses.fields(TrainConfig):
-        tag, method = _FIELD_CODECS[field.type]
-        w.buf += tag
-        getattr(w, method)(getattr(ckpt.config, field.name))
-    w.u64(ckpt.params.dim)
-    w.u64(ckpt.heads.channels)
-    w.u64(ckpt.opt.step)
-    _write_rng_state(w, ckpt.rng_state)
-    w.u64(ckpt.epoch)
-    for vec in (ckpt.theta, *ckpt.opt.moments):
-        w.vector(vec)
+    rng = ckpt.rng_state
+    if rng.get("bit_generator") != "PCG64":
+        raise ValidationError(f"unsupported bit generator {rng.get('bit_generator')!r}")
+    text = "".join(f"{f.name} = {getattr(ckpt.config, f.name)}\n"
+                   for f in dataclasses.fields(TrainConfig)).encode("utf-8")
+    header = _CKPT_HEADER.pack(CKPT_MAGIC, CKPT_VERSION, len(text), ckpt.params.dim, ckpt.heads.channels,
+                               ckpt.opt.step, int(rng["state"]["state"]).to_bytes(16, "little"),
+                               int(rng["state"]["inc"]).to_bytes(16, "little"), int(rng["has_uint32"]),
+                               int(rng["uinteger"]), ckpt.epoch)
     with atomic_open(path, "wb") as fh:
-        fh.write(w.buf)
+        fh.write(header + text)
+        for vec in (ckpt.theta, *ckpt.opt.moments):
+            fh.write(np.ascontiguousarray(vec, dtype="<f8"))
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
     path = Path(path)
     blob = path.read_bytes()
-    if len(blob) < len(CKPT_MAGIC) + 4:
-        raise CorruptionError(f"{path}: truncated checkpoint header")
-    if blob[:len(CKPT_MAGIC)] != CKPT_MAGIC:
-        raise FormatError(f"{path}: bad checkpoint magic {blob[:8]!r}")
-    r = _Reader(blob, str(path))
-    r.pos = len(CKPT_MAGIC)
-    version = r.u32()
+    if len(blob) < _CKPT_HEADER.size:
+        raise CorruptionError(f"{path}: truncated checkpoint header ({len(blob)} bytes)")
+    (magic, version, text_len, dim, channels, step, state, inc, has_uint32, uinteger,
+     epoch) = _CKPT_HEADER.unpack_from(blob, 0)
+    if magic != CKPT_MAGIC:
+        raise FormatError(f"{path}: bad checkpoint magic {magic!r}")
     if version != CKPT_VERSION:
         raise FormatError(f"{path}: unsupported checkpoint version {version}")
-    kwargs = {}
-    for field in dataclasses.fields(TrainConfig):
-        tag, method = _FIELD_CODECS[field.type]
-        if r.take(1) != tag:
-            raise CorruptionError(f"{path}: bad tag for config field {field.name!r}")
-        kwargs[field.name] = getattr(r, method)()
-    config = TrainConfig(**kwargs)
-    dim, channels = r.u64(), r.u64()
     if dim < 1 or channels < 1:
         raise CorruptionError(f"{path}: {dim} values per item and {channels} channels, need both positive")
+    end = _CKPT_HEADER.size + text_len
+    if len(blob) < end:
+        raise CorruptionError(f"{path}: truncated checkpoint config")
+    try:
+        raw = parse_kv_text(blob[_CKPT_HEADER.size:end].decode("utf-8"), origin="config")
+        if raw.keys() != {f.name for f in dataclasses.fields(TrainConfig)}:
+            raise CorruptionError(f"config keys {sorted(raw)} are not the TrainConfig fields")
+        config = TrainConfig(**coerce_fields(TrainConfig, raw))
+    except UnicodeDecodeError as exc:
+        raise CorruptionError(f"{path}: checkpoint config is not UTF-8 (byte {exc.start})") from None
+    except ValidationError as exc:
+        raise CorruptionError(f"{path}: checkpoint {exc}") from None
+    # Sized in Python ints before numpy sees the block: θ and both moments.
     layout = _layout(config.n_prototypes, dim, channels)
-    step = int(r.u64())
-    rng_state = _read_rng_state(r)
-    epoch = int(r.u64())
-    theta = r.vector(_size(layout))
-    opt = OptimizerState(np.array([r.vector(len(theta)), r.vector(len(theta))]), layout, step)
-    if r.pos != len(blob):
-        raise CorruptionError(f"{path}: {len(blob) - r.pos} trailing bytes")
-    return Checkpoint(config, *_unpack(theta, layout, config), opt, rng_state, epoch, theta)
-
-
-def _write_rng_state(w: _Writer, state: dict) -> None:
-    if state.get("bit_generator") != "PCG64":
-        raise ValidationError(f"unsupported bit generator {state.get('bit_generator')!r}")
-    inner = state["state"]
-    w.buf += int(inner["state"]).to_bytes(16, "little")
-    w.buf += int(inner["inc"]).to_bytes(16, "little")
-    w.u32(int(state["has_uint32"]))
-    w.u32(int(state["uinteger"]))
-
-
-def _read_rng_state(r: _Reader) -> dict:
-    state = int.from_bytes(r.take(16), "little")
-    inc = int.from_bytes(r.take(16), "little")
-    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-            "has_uint32": int(r.u32()), "uinteger": int(r.u32())}
+    n = _size(layout)
+    expected = end + 3 * 8 * n
+    if len(blob) != expected:
+        fault = "truncated" if len(blob) < expected else f"{len(blob) - expected} trailing bytes"
+        raise CorruptionError(f"{path}: {fault}: the parameter layout takes {expected} bytes, found {len(blob)}")
+    block = np.frombuffer(blob, dtype="<f8", count=3 * n, offset=end).astype(np.float64)
+    bad = np.flatnonzero(~np.isfinite(block))
+    if bad.size:
+        raise CorruptionError(f"{path}: {('theta', 'exp_avg', 'exp_avg_sq')[bad[0] // n]} "
+                              f"holds non-finite value {block[bad[0]]}")
+    rng_state = {"bit_generator": "PCG64", "state": {"state": int.from_bytes(state, "little"),
+                                                     "inc": int.from_bytes(inc, "little")},
+                 "has_uint32": has_uint32, "uinteger": uinteger}
+    return Checkpoint(config, OptimizerState(block[n:].reshape(2, n), layout, step), rng_state, epoch, block[:n])

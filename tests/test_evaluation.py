@@ -9,7 +9,7 @@ from dpdl.evaluation import (auc, format_report, nearest_prototype_baseline_auc,
                              Report, run_experiment, score_dataset, write_report)
 from dpdl.features import Dataset, FeatureMap, make_splits
 from dpdl.prototypes import mgp_realize
-from dpdl.scoring import SCORE_CHUNK, LinearHead, anomaly_score
+from dpdl.scoring import SCORE_CHUNK, anomaly_score
 from dpdl.training import TrainConfig, train
 
 from test_training import tiny_config, tiny_dataset, tiny_split
@@ -156,9 +156,10 @@ class TestChunkedScoring:
         # Item 13 is an anomaly with a cell near 2.1: 2.1 * 1e308 overflows.
         ds = tiny_dataset()
         ckpt = train(ds, tiny_split(ds), tiny_config(epochs=1)).checkpoint
-        heads = dataclasses.replace(ckpt.heads, anomaly=LinearHead(np.full(3, 1e308), np.zeros(1)))
+        ckpt.heads.anomaly.w[:] = 1e308
+        ckpt.heads.anomaly.b[:] = 0.0
         with pytest.raises(NumericError, match="not finite") as info:
-            score_dataset(dataclasses.replace(ckpt, heads=heads), ds, [1, 13])
+            score_dataset(ckpt, ds, [1, 13])
         assert repr(ds.items[13].source_id) in str(info.value)
 
     @pytest.mark.parametrize("bad", [-1, "len", 1.5])

@@ -269,6 +269,19 @@ class TestFeatureFile:
         with pytest.raises(CorruptionError, match=f"item 3 .*{reason}"):
             read_feature_file(path)
 
+    def test_plus_and_minus_inf_in_one_item_warn_nothing(self, tmp_path, recwarn):
+        # Their float64 sum is a NaN; numpy used to warn "invalid value
+        # encountered in reduce" before the CorruptionError.
+        path = tmp_path / "c.feat"
+        write_feature_file(path, small_dataset())
+        blob = bytearray(path.read_bytes())
+        for k, value in enumerate((np.inf, -np.inf)):
+            struct.pack_into("<f", blob, HEADER_BYTES + RECORD_HEAD_BYTES + 4 * k, value)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CorruptionError, match="item 0 contains non-finite values"):
+            read_feature_file(path)
+        assert not recwarn.list
+
     def test_reader_assigns_canonical_ids(self, tmp_path):
         ds = small_dataset(canonical=False)
         path = tmp_path / "ids.feat"

@@ -64,6 +64,18 @@ def checkpoints_equal(a: Checkpoint, b: Checkpoint) -> bool:
     return all(np.array_equal(x, y) for x, y in pairs)
 
 
+def message(info, path) -> str:
+    """The error's message without ``path``: pytest names each tmp directory
+    after its test, so a word of the test's name is always in the path."""
+    return str(info.value).replace(str(path), "<path>")
+
+
+def config_span(blob: bytes) -> slice:
+    """Where a saved checkpoint's config text lies: after the header, for the length it states."""
+    start = training._CKPT_HEADER.size
+    return slice(start, start + training._CKPT_HEADER.unpack_from(blob)[2])
+
+
 def one_array(n):
     """A layout of one n-vector named "x"."""
     return (("x", (n,)),)
@@ -487,8 +499,9 @@ class TestCheckpointIO:
         blob = bytearray(path.read_bytes())
         blob[:8] = b"NOTACKPT"
         path.write_bytes(bytes(blob))
-        with pytest.raises(FormatError, match="magic"):
+        with pytest.raises(FormatError) as info:
             load_checkpoint(path)
+        assert "magic" in message(info, path)
 
     def test_unsupported_version(self, tmp_path):
         ckpt = self.trained()
@@ -497,8 +510,9 @@ class TestCheckpointIO:
         blob = bytearray(path.read_bytes())
         struct.pack_into("<I", blob, 8, 99)
         path.write_bytes(bytes(blob))
-        with pytest.raises(FormatError, match="version"):
+        with pytest.raises(FormatError) as info:
             load_checkpoint(path)
+        assert "version" in message(info, path)
 
     def test_truncated_payload(self, tmp_path):
         ckpt = self.trained()
@@ -506,8 +520,9 @@ class TestCheckpointIO:
         save_checkpoint(path, ckpt)
         blob = path.read_bytes()
         path.write_bytes(blob[:-5])
-        with pytest.raises(CorruptionError, match="truncated"):
+        with pytest.raises(CorruptionError) as info:
             load_checkpoint(path)
+        assert "truncated" in message(info, path)
         path.write_bytes(blob[:6])
         with pytest.raises(CorruptionError):
             load_checkpoint(path)
@@ -526,20 +541,76 @@ class TestCheckpointIO:
 
     @pytest.mark.parametrize("block", [0, 1, 2])
     def test_block_of_the_wrong_length_is_corrupt(self, tmp_path, block):
-        # Blocks theta, exp_avg, exp_avg_sq end the file, each a u64 length
-        # and its values: one value fewer in block ``block`` must not load.
+        # θ, exp_avg and exp_avg_sq end the file as one block of 3n float64
+        # values: one value fewer in the part of vector ``block``, or one
+        # more after it, must not load.
         ckpt = self.trained()
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, ckpt)
         blob = path.read_bytes()
         n = len(ckpt.theta)
-        start = len(blob) - (3 - block) * (8 + 8 * n)
-        assert struct.unpack_from("<Q", blob, start)[0] == n
-        short = bytearray(blob[:start + 8 + 8 * (n - 1)] + blob[start + 8 + 8 * n:])
-        struct.pack_into("<Q", short, start, n - 1)
-        path.write_bytes(bytes(short))
-        with pytest.raises(CorruptionError, match="layout"):
+        start = len(blob) - (3 - block) * 8 * n
+        vec = (ckpt.theta, *ckpt.opt.moments)[block]
+        assert np.array_equal(np.frombuffer(blob, "<f8", n, start), vec)
+        short = blob[:start + 8 * (n // 2)] + blob[start + 8 * (n // 2 + 1):]
+        long = blob[:start + 8 * n] + blob[start + 8 * (n - 1):]
+        for wrong in (short, long):
+            path.write_bytes(wrong)
+            with pytest.raises(CorruptionError) as info:
+                load_checkpoint(path)
+            assert "layout" in message(info, path)
+
+    @pytest.mark.parametrize("block", ["theta", "exp_avg", "exp_avg_sq"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_values_are_corrupt(self, tmp_path, block, value):
+        # Before, a NaN in w_a loaded and scoring exited 3, a NaN in m exited
+        # 1 from the bridge, and a NaN in exp_avg_sq loaded and scored.
+        ckpt = self.trained()
+        vec = {"theta": ckpt.theta, "exp_avg": ckpt.opt.moments[0], "exp_avg_sq": ckpt.opt.moments[1]}[block]
+        vec[len(vec) // 2] = value
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, ckpt)
+        with pytest.raises(CorruptionError) as info:
             load_checkpoint(path)
+        assert f"{block} holds non-finite" in message(info, path)
+
+    @pytest.mark.parametrize("edit", ["missing", "extra", "renamed"])
+    def test_config_must_name_each_field_once(self, tmp_path, edit):
+        # A missing line would otherwise load at its default.
+        ckpt = self.trained()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, ckpt)
+        blob = path.read_bytes()
+        span = config_span(blob)
+        text = blob[span].decode()
+        assert "kappa = 2.0\n" in text and "lambda_ = 0.01\n" in text
+        text = {"missing": text.replace("kappa = 2.0\n", ""), "extra": text + "gamma = 1\n",
+                "renamed": text.replace("lambda_ =", "lambda =")}[edit].encode()
+        header = bytearray(blob[:span.start])
+        struct.pack_into("<I", header, 12, len(text))
+        path.write_bytes(bytes(header) + text + blob[span.stop:])
+        with pytest.raises(CorruptionError) as info:
+            load_checkpoint(path)
+        assert "config keys" in message(info, path)
+
+    def test_config_text_is_a_config_file(self, tmp_path):
+        ckpt = self.trained()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, ckpt)
+        blob = path.read_bytes()
+        config = tmp_path / "train.cfg"
+        config.write_bytes(blob[config_span(blob)])
+        assert parse_train_config(config) == ckpt.config
+
+    def test_heads_and_params_cannot_be_replaced(self):
+        # They used to be fields beside θ: a replaced head was scored but
+        # save_checkpoint wrote θ, so the saved file held the old weights.
+        ckpt = self.trained()
+        for field in ("heads", "params"):
+            with pytest.raises(TypeError, match=field):
+                dataclasses.replace(ckpt, **{field: getattr(ckpt, field)})
+        with pytest.raises(AttributeError):
+            ckpt.heads = ckpt.heads
 
     def test_in_place_edits_are_saved(self, tmp_path):
         ckpt = self.trained()
@@ -556,5 +627,6 @@ class TestCheckpointIO:
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, ckpt)
         path.write_bytes(path.read_bytes() + b"\x00\x00")
-        with pytest.raises(CorruptionError, match="trailing"):
+        with pytest.raises(CorruptionError) as info:
             load_checkpoint(path)
+        assert "trailing" in message(info, path)
