@@ -18,7 +18,7 @@ import numpy as np
 from .atomic import atomic_open
 from .errors import UndefinedMetricError, ValidationError
 from .features import Dataset, checked_ids, make_splits
-from .prototypes import mgp_realize, vq_init
+from .prototypes import _nearest_codewords, mgp_realize, vq_init
 from .scoring import anomaly_scores
 from .training import Checkpoint, TrainConfig, TrainResult, train
 
@@ -114,7 +114,7 @@ def nearest_prototype_baseline_auc(dataset: Dataset, split, n_codewords: int, se
     train_normals = flats[train_ids].astype(np.float64)
     codebook = vq_init(train_normals, min(n_codewords, len(train_normals)), seed=seed).codebook
     x = flats[test_ids].astype(np.float64)
-    d2 = np.min([np.sum((c - x) ** 2, axis=1) for c in codebook], axis=0)
+    d2 = _nearest_codewords(x, np.sum(x * x, axis=1), codebook)[1]
     return auc(np.sqrt(d2), dataset.labels[test_ids])
 
 

@@ -176,7 +176,10 @@ class Dataset:
 def checked_ids(ids, size: int) -> np.ndarray:
     """``ids`` as an int64 vector; ValidationError unless each is an integer naming one of ``size`` items."""
     ids = np.asarray(ids).reshape(-1)
-    bad = ids[(ids < 0) | (ids >= size) | (ids != ids.astype(np.int64))]
+    if ids.dtype.kind not in "iuf":
+        # A boolean mask would otherwise be read as the ids 0 and 1.
+        raise ValidationError(f"item ids must be integers, got an array of {ids.dtype}")
+    bad = ids[~((ids >= 0) & (ids < size)) | (ids != np.trunc(ids))]
     if bad.size:
         raise ValidationError(f"{bad[0]} is not an item id of a dataset of size {size}")
     return ids.astype(np.int64)

@@ -230,8 +230,9 @@ def vq_init(features: np.ndarray, n_codewords: int, max_iters: int = 100,
             seed: int = 0) -> PrototypeInit:
     """Quantize feature vectors with k-means++ seeding and Lloyd updates.
 
-    Empty clusters are reseeded to the point farthest from its codeword.
-    Stops early once assignments stop changing.
+    The seed and every Lloyd pass find distances with one kernel, from row
+    norms computed once per call.  Empty clusters are reseeded to the point
+    farthest from its codeword.  Stops early once assignments stop changing.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 1:
@@ -242,13 +243,13 @@ def vq_init(features: np.ndarray, n_codewords: int, max_iters: int = 100,
     if max_iters < 1:
         raise ValidationError(f"max_iters must be positive, got {max_iters}")
     rng = np.random.default_rng(seed)
-    codebook = _kmeans_pp_seed(x, n_codewords, rng)
+    x_sq = np.sum(x * x, axis=1)
+    codebook = _kmeans_pp_seed(x, x_sq, n_codewords, rng)
     assignment = np.zeros(n, dtype=np.int64)
     errors: list[float] = []
     for _ in range(max_iters):
-        dist2 = _pairwise_sq_dists(x, codebook)
-        new_assignment = np.argmin(dist2, axis=1)
-        errors.append(float(np.mean(dist2[np.arange(n), new_assignment])))
+        new_assignment, dist2 = _nearest_codewords(x, x_sq, codebook)
+        errors.append(float(np.mean(dist2)))
         converged = bool(np.array_equal(new_assignment, assignment)) and len(errors) > 1
         assignment = new_assignment
         if converged:
@@ -257,13 +258,10 @@ def vq_init(features: np.ndarray, n_codewords: int, max_iters: int = 100,
         for k in range(n_codewords):
             if counts[k] > 0:
                 codebook[k] = x[assignment == k].mean(axis=0)
-        empties = np.flatnonzero(counts == 0)
-        if empties.size:
-            residual = dist2[np.arange(n), assignment].copy()
-            for k in empties:
-                far = int(np.argmax(residual))
-                codebook[k] = x[far]
-                residual[far] = -1.0
+        for k in np.flatnonzero(counts == 0):
+            far = int(np.argmax(dist2))
+            codebook[k] = x[far]
+            dist2[far] = -1.0
     return PrototypeInit(
         codebook=codebook,
         assignment=assignment,
@@ -272,17 +270,27 @@ def vq_init(features: np.ndarray, n_codewords: int, max_iters: int = 100,
     )
 
 
-def _kmeans_pp_seed(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _nearest_codewords(x: np.ndarray, x_sq: np.ndarray, codebook: np.ndarray):
+    """Each row's nearest codeword index (N,) and squared distance (N,).
+
+    x is (N, D) with row norms x_sq = sum(x * x, axis=1); the distances are
+    expanded as |x|^2 - 2 x.c + |c|^2, so nothing of shape (N, D) is built.
+    Cancellation can leave small negatives; they are clipped to zero before
+    the argmin, so exact ties go to the lowest index.
+    """
+    d2 = x_sq[:, None] - 2.0 * (x @ codebook.T) + np.sum(codebook * codebook, axis=1)
+    np.maximum(d2, 0.0, out=d2)
+    nearest = np.argmin(d2, axis=1)
+    return nearest, d2[np.arange(len(nearest)), nearest]
+
+
+def _kmeans_pp_seed(x: np.ndarray, x_sq: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = x.shape[0]
-    x_sq = np.sum(x * x, axis=1)
 
     def sq_dists_to(idx: int) -> np.ndarray:
-        # |x - c|^2 from cached row norms; the chosen point itself and exact
-        # duplicates of it come out as zero.
-        c = x[idx]
-        c_sq = x_sq[idx]
-        d2 = x_sq - 2.0 * (x @ c) + c_sq
-        d2[d2 <= _SEED_ROUNDOFF * (x_sq + c_sq)] = 0.0
+        # The chosen point itself and exact duplicates of it come out as zero.
+        d2 = _nearest_codewords(x, x_sq, x[idx:idx + 1])[1]
+        d2[d2 <= _SEED_ROUNDOFF * (x_sq + x_sq[idx])] = 0.0
         d2[idx] = 0.0
         return d2
 
@@ -301,13 +309,3 @@ def _kmeans_pp_seed(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
         codebook[j] = x[idx]
         closest = np.minimum(closest, sq_dists_to(idx))
     return codebook
-
-
-def _pairwise_sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # |x - y|^2 expanded; clip guards tiny negative values from cancellation.
-    d2 = (
-        np.sum(x * x, axis=1)[:, None]
-        - 2.0 * x @ y.T
-        + np.sum(y * y, axis=1)[None, :]
-    )
-    return np.maximum(d2, 0.0)

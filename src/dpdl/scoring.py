@@ -263,27 +263,46 @@ def anomaly_scores(mgp: MGP, heads: ScoringHeads, fms, residual_scale: str = "st
 
     Each term is the pooled logit its head loss trains.  Each pass gathers
     SCORE_CHUNK rows into a stack padded with zero rows, so an item's score
-    has the same bits whatever else its pass holds.  A non-finite score
-    raises NumericError naming its item.
+    has the same bits whatever else its pass holds.  A non-finite score, or
+    a pass whose arithmetic overflows, divides by zero or goes invalid,
+    raises NumericError naming the item at fault.
     """
     grids, names = _rows_of(fms)
     ids = np.arange(len(grids)) if ids is None else checked_ids(ids, len(grids))
+
+    def item(i) -> str:
+        return f"at row {i}" if names is None or names[i] is None else repr(names[i])
+
     out = np.empty(len(ids))
-    frac = heads.topk_fraction
-    for start in range(0, len(ids), SCORE_CHUNK):
-        rows = grids[ids[start:start + SCORE_CHUNK]]
-        chunk = np.zeros((SCORE_CHUNK,) + rows.shape[1:])
-        chunk[:len(rows)] = rows
-        s_a = _topk_pooled(heads.anomaly, chunk, frac)[0]
-        s_r = _topk_pooled(heads.residual, residual_grid(mgp, chunk, residual_scale), frac)[0]
-        s_n = _mean_cell_pooled(heads.normal, chunk)[0]
-        out[start:start + SCORE_CHUNK] = (s_a + s_r - s_n)[:len(out) - start]
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        for start in range(0, len(ids), SCORE_CHUNK):
+            rows = ids[start:start + SCORE_CHUNK]
+            try:
+                out[start:start + len(rows)] = _pass_scores(mgp, heads, grids[rows], residual_scale)[:len(rows)]
+            except FloatingPointError:
+                # Rows score independently, so rescoring the pass row by row
+                # finds the row at fault.
+                for i in rows:
+                    try:
+                        _pass_scores(mgp, heads, grids[i:i + 1], residual_scale)
+                    except FloatingPointError as exc:
+                        raise NumericError(f"anomaly score of item {item(i)} is not finite: {exc}") from None
+                raise
     bad = np.flatnonzero(~np.isfinite(out))
     if bad.size:
-        i = ids[bad[0]]
-        name = f"at row {i}" if names is None or names[i] is None else repr(names[i])
-        raise NumericError(f"anomaly score of item {name} is not finite: {out[bad[0]]}")
+        raise NumericError(f"anomaly score of item {item(ids[bad[0]])} is not finite: {out[bad[0]]}")
     return out
+
+
+def _pass_scores(mgp: MGP, heads: ScoringHeads, rows: np.ndarray, residual_scale: str) -> np.ndarray:
+    """Scores (SCORE_CHUNK,) of up to SCORE_CHUNK rows, zero-padded to a full pass."""
+    chunk = np.zeros((SCORE_CHUNK,) + rows.shape[1:])
+    chunk[:len(rows)] = rows
+    frac = heads.topk_fraction
+    s_a = _topk_pooled(heads.anomaly, chunk, frac)[0]
+    s_r = _topk_pooled(heads.residual, residual_grid(mgp, chunk, residual_scale), frac)[0]
+    s_n = _mean_cell_pooled(heads.normal, chunk)[0]
+    return s_a + s_r - s_n
 
 
 def anomaly_score(mgp: MGP, heads: ScoringHeads, fm, residual_scale: str = "std") -> float:

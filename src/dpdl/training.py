@@ -360,9 +360,16 @@ _CKPT_HEADER = struct.Struct("<8sIIQQQ16s16sIIQ")
 
 
 def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
+    """Write ``ckpt`` to ``path``; NumericError, with nothing written, if θ
+    or a moment holds a value ``load_checkpoint`` would refuse."""
     rng = ckpt.rng_state
     if rng.get("bit_generator") != "PCG64":
         raise ValidationError(f"unsupported bit generator {rng.get('bit_generator')!r}")
+    blocks = (ckpt.theta, *ckpt.opt.moments)
+    for name, vec in zip(("theta", "exp_avg", "exp_avg_sq"), blocks):
+        bad = np.flatnonzero(~np.isfinite(vec))
+        if bad.size:
+            raise NumericError(f"{path}: not saved, {name} holds non-finite value {vec[bad[0]]}")
     text = "".join(f"{f.name} = {getattr(ckpt.config, f.name)}\n"
                    for f in dataclasses.fields(TrainConfig)).encode("utf-8")
     header = _CKPT_HEADER.pack(CKPT_MAGIC, CKPT_VERSION, len(text), ckpt.params.dim, ckpt.heads.channels,
@@ -371,7 +378,7 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
                                int(rng["uinteger"]), ckpt.epoch)
     with atomic_open(path, "wb") as fh:
         fh.write(header + text)
-        for vec in (ckpt.theta, *ckpt.opt.moments):
+        for vec in blocks:
             fh.write(np.ascontiguousarray(vec, dtype="<f8"))
 
 

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,8 @@ import pytest
 
 import dpdl
 from dpdl.cli import main
+from dpdl.errors import NumericError
+from dpdl.evaluation import score_dataset
 from dpdl.features import read_feature_file
 from dpdl.training import load_checkpoint
 
@@ -93,7 +96,6 @@ class TestPipeline:
         assert len(lines) == 1 + 32
         assert all(np.isfinite(float(line.split(",")[2])) for line in lines[1:])
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_non_finite_score_exits_numeric_without_csv(self, workspace, trained, capsys):
         ckpt = load_checkpoint(trained)
         ckpt.heads.anomaly.w[:] = 1e308
@@ -187,6 +189,50 @@ class TestErrorPaths:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "command" in capsys.readouterr().out
+
+
+@pytest.fixture(scope="module")
+def bundled(tmp_path_factory):
+    """The bundled 4x4x8 data (seed 0) and a 1-epoch checkpoint on it (hard, m = 1, seed 0)."""
+    root = tmp_path_factory.mktemp("bundled")
+    configs = Path(dpdl.__file__).resolve().parent / "configs"
+    text = (configs / "train_benchmark.cfg").read_text()
+    assert "epochs = 50" in text
+    (root / "train.cfg").write_text(text.replace("epochs = 50", "epochs = 1"))
+    assert main(["synth", "--config", str(configs / "synth_benchmark.cfg"), "--seed", "0",
+                 "--out", str(root / "data.dpdlfeat")]) == 0
+    assert main(["train", "--data", str(root / "data.dpdlfeat"), "--protocol", "hard", "--m", "1",
+                 "--seed", "0", "--config", str(root / "train.cfg"), "--out", str(root / "model.ckpt")]) == 0
+    return root
+
+
+class TestExtremeCheckpoint:
+    # Each edit keeps the checkpoint finite, so it loads.  Before, s = 690
+    # scored up to ~1e148, s = 700 ended in a ValidationError about
+    # internal "points", s = -750 in a NumericError, and a = -800 and
+    # m = 1e200 scored normally; each printed numpy warnings on the way.
+    EDITS = {"s=690": ("s", (0, 0), 690.0), "s=700": ("s", (0, 0), 700.0),
+             "s=-750": ("s", (0, 0), -750.0), "a=-800": ("a", 0, -800.0),
+             "m=1e200": ("m", (0, 0), 1e200)}
+
+    @pytest.mark.parametrize("edit", list(EDITS))
+    def test_score_is_a_numeric_error(self, bundled, edit, capsys):
+        name, at, value = self.EDITS[edit]
+        ckpt = load_checkpoint(bundled / "model.ckpt")
+        getattr(ckpt.params, name)[at] = value
+        dataset = read_feature_file(bundled / "data.dpdlfeat")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NumericError, match="not finite"):
+                score_dataset(ckpt, dataset)
+        assert [str(w.message) for w in caught] == []
+        model = bundled / f"{edit}.ckpt"
+        dpdl.save_checkpoint(model, ckpt)
+        out = bundled / f"{edit}.csv"
+        rc = main(["score", "--model", str(model), "--data", str(bundled / "data.dpdlfeat"), "--out", str(out)])
+        assert rc == 3
+        assert "dpdl: numeric failure" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_import_loads_no_scipy():

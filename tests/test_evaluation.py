@@ -7,7 +7,7 @@ import pytest
 from dpdl.errors import NumericError, UndefinedMetricError, ValidationError
 from dpdl.evaluation import (auc, format_report, nearest_prototype_baseline_auc,
                              Report, run_experiment, score_dataset, write_report)
-from dpdl.features import Dataset, FeatureMap, make_splits
+from dpdl.features import Dataset, FeatureMap, SplitPlan, make_splits
 from dpdl.prototypes import mgp_realize
 from dpdl.scoring import SCORE_CHUNK, anomaly_score
 from dpdl.training import TrainConfig, train
@@ -151,7 +151,6 @@ class TestChunkedScoring:
         assert peaks[20 * SCORE_CHUNK] < 12 * chunk_bytes
         assert peaks[20 * SCORE_CHUNK] - peaks[2 * SCORE_CHUNK] < chunk_bytes
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_non_finite_score_names_its_item(self):
         # Item 13 is an anomaly with a cell near 2.1: 2.1 * 1e308 overflows.
         ds = tiny_dataset()
@@ -162,10 +161,11 @@ class TestChunkedScoring:
             score_dataset(ckpt, ds, [1, 13])
         assert repr(ds.items[13].source_id) in str(info.value)
 
-    @pytest.mark.parametrize("bad", [-1, "len", 1.5])
+    @pytest.mark.parametrize("bad", [-1, "len", 1.5, float("nan")])
     def test_ids_that_name_no_item_are_rejected(self, bad):
-        # A negative id used to wrap to the last item and an id at len(ds)
-        # ended in a bare IndexError; training checks its split the same way.
+        # A negative id used to wrap to the last item, an id at len(ds)
+        # ended in a bare IndexError and a NaN id in numpy's cast warning;
+        # training checks its split the same way.
         ds = tiny_dataset()
         ckpt = train(ds, tiny_split(ds), tiny_config(epochs=1)).checkpoint
         bad = len(ds) if bad == "len" else bad
@@ -173,6 +173,21 @@ class TestChunkedScoring:
             score_dataset(ckpt, ds, [0, bad])
         split = dataclasses.replace(tiny_split(ds), test_ids=(0, bad))
         with pytest.raises(ValidationError, match=f"{bad} is not an item id"):
+            train(ds, split, tiny_config(epochs=1))
+
+    @pytest.mark.parametrize("kind", ["mask", "text", "none"])
+    def test_ids_that_are_not_integers_are_rejected(self, kind):
+        # A boolean mask was read as the ids 0 and 1: score_dataset returned
+        # one row per mask entry, each of item 0 or 1.  A string id ended in
+        # numpy's UFuncTypeError and None in a bare TypeError.
+        ds = tiny_dataset()
+        ckpt = train(ds, tiny_split(ds), tiny_config(epochs=1)).checkpoint
+        ids = {"mask": np.isin(np.arange(len(ds)), [1, 13]), "text": np.array(["1"]),
+               "none": np.array([None])}[kind]
+        with pytest.raises(ValidationError, match="item ids must be integers"):
+            score_dataset(ckpt, ds, ids)
+        split = dataclasses.replace(tiny_split(ds), test_ids=ids)
+        with pytest.raises(ValidationError, match="item ids must be integers"):
             train(ds, split, tiny_config(epochs=1))
 
 
@@ -202,6 +217,28 @@ class TestBaseline:
         value = nearest_prototype_baseline_auc(ds, split, 32, seed=0)
         assert 0.0 <= value <= 1.0
 
+    def test_equals_direct_distances_exactly(self):
+        # Small integers, and clusters of identical training normals, so
+        # the codewords are integers and the expanded distances are exact.
+        centers = [(0, 0, 0, 0), (4, 4, 0, 0), (0, 0, 6, 2)]
+        train = [c for c in centers for _ in range(3)]
+        test = [(0, 1, 0, 0), (4, 4, 1, 1), (2, 2, 0, 0), (0, 0, 6, 2), (1, 0, 0, 1),
+                (3, 0, 3, 0), (5, 5, 5, 5), (0, 2, 2, 0), (2, 0, 2, 0), (4, 2, 0, 0)]
+        labels = [0, 0, 1, 0, 1, 1, 1, 0, 1, 0]
+        items = [FeatureMap(np.array(v, dtype=np.float32).reshape(2, 1, 2), 0, 0, f"t{i}")
+                 for i, v in enumerate(train)]
+        items += [FeatureMap(np.array(v, dtype=np.float32).reshape(2, 1, 2), y, y, f"x{i}")
+                  for i, (v, y) in enumerate(zip(test, labels))]
+        ds = Dataset(tuple(items), name="integers")
+        split = SplitPlan(train_normal_ids=tuple(range(9)), train_anomaly_ids=(),
+                          test_ids=tuple(range(9, 19)), protocol="general", m=0, seed=0)
+        x = np.array(test, dtype=np.float64)
+        d2 = ((x[:, None, :] - np.array(centers, dtype=np.float64)) ** 2).sum(-1).min(1)
+        want = auc(np.sqrt(d2), np.array(labels))
+        assert 0.5 < want < 1.0
+        for seed in range(3):
+            assert nearest_prototype_baseline_auc(ds, split, 3, seed=seed) == want
+
     @pytest.mark.parametrize("bad", [-1, "len"])
     def test_ids_that_name_no_item_are_rejected(self, bad):
         # A test id of -1 scored the last item and one of len(ds) ended in
@@ -212,6 +249,17 @@ class TestBaseline:
         for field in ("test_ids", "train_normal_ids"):
             broken = dataclasses.replace(split, **{field: getattr(split, field) + (bad,)})
             with pytest.raises(ValidationError, match=f"{bad} is not an item id"):
+                nearest_prototype_baseline_auc(ds, broken, 8, seed=0)
+
+    @pytest.mark.parametrize("kind", ["mask", "text", "none"])
+    def test_ids_that_are_not_integers_are_rejected(self, kind):
+        ds = blobby_dataset()
+        split = make_splits(ds, "general", 2, seed=0)
+        for field in ("test_ids", "train_normal_ids"):
+            ids = {"mask": np.isin(np.arange(len(ds)), getattr(split, field)), "text": np.array(["1"]),
+                   "none": np.array([None])}[kind]
+            broken = dataclasses.replace(split, **{field: ids})
+            with pytest.raises(ValidationError, match="item ids must be integers"):
                 nearest_prototype_baseline_auc(ds, broken, 8, seed=0)
 
 

@@ -5,8 +5,8 @@ from scipy.stats import norm
 
 from conftest import assert_close, random_params
 from dpdl.errors import ValidationError
-from dpdl.prototypes import (MGP, MGPParams, _kmeans_pp_seed, diag_mixture_log_density,
-                             logsumexp, mgp_log_density, mgp_new, mgp_realize, vq_init)
+from dpdl.prototypes import (MGP, MGPParams, _kmeans_pp_seed, _nearest_codewords,
+                             diag_mixture_log_density, logsumexp, mgp_log_density, mgp_new, mgp_realize, vq_init)
 
 
 def same_bits(x, y) -> bool:
@@ -192,14 +192,14 @@ class TestKmeansSeed:
     def test_matches_direct_distances(self, shape):
         for seed in range(5):
             x = np.random.default_rng(seed).normal(size=shape) * 2.0 + 1.0
-            got = _kmeans_pp_seed(x, 8, np.random.default_rng(seed))
+            got = _kmeans_pp_seed(x, np.sum(x * x, axis=1), 8, np.random.default_rng(seed))
             want = direct_kmeans_pp_seed(x, 8, np.random.default_rng(seed))
             assert np.array_equal(got, want)
 
     def test_all_points_coincide(self, rng):
         point = rng.normal(size=257) * 3.0 + 7.3
         x = np.tile(point, (6, 1))
-        codebook = _kmeans_pp_seed(x, 4, np.random.default_rng(0))
+        codebook = _kmeans_pp_seed(x, np.sum(x * x, axis=1), 4, np.random.default_rng(0))
         assert np.array_equal(codebook, np.tile(point, (4, 1)))
 
     def test_copies_of_a_codeword_are_at_distance_zero(self, rng):
@@ -211,11 +211,86 @@ class TestKmeansSeed:
         points = rng.normal(size=(3, 257)) * 3.0 + 7.3
         x = np.repeat(points, 5, axis=0)
         for seed in range(10):
-            got = _kmeans_pp_seed(x, 6, np.random.default_rng(seed))
+            got = _kmeans_pp_seed(x, np.sum(x * x, axis=1), 6, np.random.default_rng(seed))
             want = direct_kmeans_pp_seed(x, 6, np.random.default_rng(seed))
             assert len({row.tobytes() for row in got[:3]}) == 3
             assert np.array_equal(got, want)
 
+
+def direct_sq_dists(x, codebook):
+    """(N, C) squared distances summed over (N, C, D) differences."""
+    return ((x[:, None, :] - codebook[None, :, :]) ** 2).sum(-1)
+
+
+def nearest(x, codebook):
+    return _nearest_codewords(x, np.sum(x * x, axis=1), codebook)
+
+
+class TestNearestCodewords:
+    @pytest.mark.parametrize("shape", [(40, 3, 5), (120, 256, 16)])
+    def test_matches_direct_distances(self, rng, shape):
+        n, d, k = shape
+        x = rng.normal(size=(n, d)) * 2.0 + 1.0
+        codebook = rng.normal(size=(k, d)) * 2.0 + 1.0
+        idx, d2 = nearest(x, codebook)
+        want = direct_sq_dists(x, codebook)
+        assert np.array_equal(idx, want.argmin(1))
+        assert np.allclose(d2, want.min(1), rtol=1e-12, atol=0)
+
+    def test_clipped_at_zero(self, rng):
+        # Copies of far-off codewords: the expanded form rounds to small
+        # values of either sign there.
+        codebook = rng.normal(size=(3, 257)) * 3.0 + 7.3
+        x = np.repeat(codebook, 4, axis=0)
+        raw = np.sum(x * x, axis=1)[:, None] - 2.0 * (x @ codebook.T) + np.sum(codebook * codebook, axis=1)
+        assert raw.min() < 0
+        idx, d2 = nearest(x, codebook)
+        assert np.all(d2 >= 0)
+        assert np.array_equal(d2, np.maximum(raw, 0.0).min(1))
+        assert np.array_equal(idx, np.repeat(np.arange(3), 4))
+
+    def test_duplicate_codewords_go_to_the_lowest_index(self, rng):
+        a, b = rng.normal(size=(2, 64)) * 3.0 + 7.3
+        codebook = np.array([b, a, b, a])
+        x = np.array([a, b, a + 1e-3, b - 1e-3])
+        idx, _ = nearest(x, codebook)
+        assert idx.tolist() == [1, 0, 1, 0]
+
+    @pytest.mark.parametrize("data", ["blobs", "copies"])
+    def test_vq_init_is_a_direct_distance_lloyd(self, data):
+        # Lloyd with (N, C, D) differences, seeded as vq_init seeds.  The
+        # copies are five small-integer points, exact in either form, so
+        # three of the eight codewords start as duplicates and their
+        # clusters come out empty.
+        rng = np.random.default_rng(11)
+        if data == "blobs":
+            centers = rng.normal(size=(6, 128)) * 3.0
+            x = centers[rng.integers(0, 6, size=300)] + rng.normal(size=(300, 128))
+        else:
+            x = np.tile(rng.integers(-3, 4, size=(5, 128)).astype(np.float64), (60, 1))
+        k, seed = 8, 4
+        codebook = direct_kmeans_pp_seed(x, k, np.random.default_rng(seed))
+        assignment = np.zeros(len(x), dtype=np.int64)
+        reseeded = 0
+        for it in range(100):
+            dist2 = direct_sq_dists(x, codebook)
+            new = dist2.argmin(1)
+            if it > 0 and np.array_equal(new, assignment):
+                break
+            assignment = new
+            residual = dist2.min(1)
+            for j in range(k):
+                if np.any(assignment == j):
+                    codebook[j] = x[assignment == j].mean(axis=0)
+            for j in np.flatnonzero(np.bincount(assignment, minlength=k) == 0):
+                far = int(np.argmax(residual))
+                codebook[j] = x[far]
+                residual[far] = -1.0
+                reseeded += 1
+        init = vq_init(x, k, seed=seed)
+        assert it > 1 if data == "blobs" else reseeded == 3
+        assert np.array_equal(init.assignment, assignment)
+        assert np.array_equal(init.codebook, codebook)
 
 class TestVQ:
     def test_trivial_codebook_equals_points(self, rng):

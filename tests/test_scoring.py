@@ -390,7 +390,15 @@ class TestCompositeScore:
         with pytest.raises(ValidationError, match=f"{bad} is not an item id"):
             anomaly_scores(mgp, heads, grids, ids=[bad])
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("ids", [[True, False, True], ["1"], [None]], ids=["mask", "text", "none"])
+    def test_ids_that_are_not_integers_are_rejected(self, rng, ids):
+        # The mask [True, False, True] scored rows 1, 0 and 1.
+        mgp = random_mgp(rng, 2, 8)
+        heads = random_heads(rng, 2)
+        grids = rng.normal(size=(3, 2, 2, 2))
+        with pytest.raises(ValidationError, match="item ids must be integers"):
+            anomaly_scores(mgp, heads, grids, ids=np.array(ids))
+
     def test_non_finite_score_raises(self, rng):
         mgp = random_mgp(rng, 2, 8)
         heads = random_heads(rng, 2)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dpdl.configio import coerce_fields, parse_kv_text
-from dpdl.errors import CorruptionError, FormatError, ValidationError
+from dpdl.errors import CorruptionError, FormatError, NumericError, ValidationError
 from dpdl import training
 from dpdl.features import (Dataset, FeatureMap, SplitPlan, SynthConfig, cutmix_pseudo_anomaly,
                            synth_generate)
@@ -566,13 +566,35 @@ class TestCheckpointIO:
         # Before, a NaN in w_a loaded and scoring exited 3, a NaN in m exited
         # 1 from the bridge, and a NaN in exp_avg_sq loaded and scored.
         ckpt = self.trained()
-        vec = {"theta": ckpt.theta, "exp_avg": ckpt.opt.moments[0], "exp_avg_sq": ckpt.opt.moments[1]}[block]
-        vec[len(vec) // 2] = value
+        n = len(ckpt.theta)
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, ckpt)
+        # save_checkpoint refuses non-finite values, so the value is written
+        # into the middle of the block's bytes.
+        blob = bytearray(path.read_bytes())
+        at = config_span(blob).stop + 8 * (("theta", "exp_avg", "exp_avg_sq").index(block) * n + n // 2)
+        blob[at:at + 8] = struct.pack("<d", value)
+        path.write_bytes(bytes(blob))
         with pytest.raises(CorruptionError) as info:
             load_checkpoint(path)
         assert f"{block} holds non-finite" in message(info, path)
+
+    @pytest.mark.parametrize("block", ["theta", "exp_avg_sq"])
+    def test_save_refuses_non_finite_values(self, tmp_path, block):
+        # Before, such a checkpoint was written and load_checkpoint refused it.
+        ckpt = self.trained()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, ckpt)
+        before = path.read_bytes()
+        if block == "theta":
+            ckpt.heads.anomaly.w[1] = np.nan
+        else:
+            ckpt.opt.moments[1][3] = np.inf
+        with pytest.raises(NumericError) as info:
+            save_checkpoint(path, ckpt)
+        assert f"{block} holds non-finite" in message(info, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
     @pytest.mark.parametrize("edit", ["missing", "extra", "renamed"])
     def test_config_must_name_each_field_once(self, tmp_path, edit):
