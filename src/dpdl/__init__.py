@@ -6,10 +6,10 @@ a hyperspherical dispersion regularizer, and scores anomalies with
 per-cell linear heads pooled over the top-scoring cells.
 """
 
-from .bridge import (CondGMM, Trajectory, conditional_plan, drift, log_partition,
+from .bridge import (CondGMM, Trajectory, conditional_plan, drift_batch, log_partition,
                      posterior_mode_index, quadrature_oracle_log_bridge_potential,
-                     quadrature_oracle_log_partition, sample_endpoint, simulate_sde,
-                     simulate_sde_batch, sinkhorn_eot_oracle, terminal_plan)
+                     quadrature_oracle_log_partition, sample_endpoint, simulate_sde_batch,
+                     sinkhorn_eot_oracle, terminal_plan)
 from .errors import (CorruptionError, DegenerateInputError, DomainError, DpdlError,
                      FormatError, NumericError, ProtocolError, UndefinedMetricError,
                      UnsupportedError, ValidationError)

@@ -9,7 +9,7 @@ quantity here is exact up to floating point:
   form (each Gaussian contributes its moment-generating function).
 * ``conditional_plan`` gives the endpoint law given a source point as a
   reweighted, shifted mixture with unchanged per-component variances.
-* ``drift`` evaluates the optimal control as a posterior-mean contraction:
+* ``drift_batch`` evaluates the optimal control as a posterior-mean contraction:
   each component acquires diagonal precision ``t/(eps*(1-t)) + 1/sigma_c``
   and linear term ``x/(eps*(1-t)) + mu_c/sigma_c``.
 
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericError, UnsupportedError, ValidationError
-from .prototypes import _LOG_2PI, MGP, diag_mixture_log_density, logsumexp, mgp_log_density
+from .prototypes import _LOG_2PI, MGP, logsumexp, mgp_log_density
 
 
 def _as_point(mgp: MGP, x: np.ndarray) -> np.ndarray:
@@ -35,15 +35,10 @@ def _as_point(mgp: MGP, x: np.ndarray) -> np.ndarray:
     return mgp.points(x[None, :])[0]
 
 
-def tilted_log_weights(mgp: MGP, x: np.ndarray) -> np.ndarray:
-    """Per-component log mass of the tilted mixture at x, before normalization;
-    see ``MGP.tilted_logits``."""
-    return mgp.tilted_logits(_as_point(mgp, x)[None, :])[0]
-
-
 def log_partition(mgp: MGP, x: np.ndarray) -> float:
-    """log of the tilted-mixture normalizer at source point x."""
-    return float(logsumexp(tilted_log_weights(mgp, x)))
+    """log of the tilted-mixture normalizer at source point x: the
+    logsumexp of ``MGP.tilted_logits`` there."""
+    return float(logsumexp(mgp.tilted_logits(_as_point(mgp, x)[None])[0]))
 
 
 def mixture_mean(weights: np.ndarray, means: np.ndarray) -> np.ndarray:
@@ -61,7 +56,9 @@ class CondGMM:
     x: np.ndarray          # (D,) the conditioning point
 
     def log_density(self, points: np.ndarray) -> np.ndarray:
-        return diag_mixture_log_density(np.log(self.weights), self.means, self.variances, points)
+        """Log density (N,) at a batch of points (N, D); see ``mgp_log_density``.
+        ε plays no part in a density."""
+        return mgp_log_density(MGP(self.weights, self.means, self.variances, epsilon=1.0), points)
 
     def mean(self) -> np.ndarray:
         return mixture_mean(self.weights, self.means)
@@ -171,12 +168,6 @@ def drift_batch(mgp: MGP, xs: np.ndarray, t: float) -> np.ndarray:
     return (posterior_mean - xs) / (1.0 - t)
 
 
-def drift(mgp: MGP, x: np.ndarray, t: float) -> np.ndarray:
-    """Optimal drift at a single state; see drift_batch."""
-    x = _as_point(mgp, x)
-    return drift_batch(mgp, x[None, :], t)[0]
-
-
 def terminal_plan(mgp: MGP, x: np.ndarray, t: float) -> CondGMM:
     """Law of the terminal point given state x at time t.
 
@@ -192,7 +183,7 @@ def terminal_plan(mgp: MGP, x: np.ndarray, t: float) -> CondGMM:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Simulated path: times (n+1,), states (n+1, D) or (n+1, B, D)."""
+    """Simulated paths: times (n+1,), states (n+1, B, D)."""
 
     times: np.ndarray
     states: np.ndarray
@@ -230,16 +221,13 @@ def simulate_sde_batch(mgp: MGP, x0: np.ndarray, n_steps: int,
     return Trajectory(times=times, states=states)
 
 
-def simulate_sde(mgp: MGP, x0: np.ndarray, n_steps: int,
-                 rng: np.random.Generator) -> Trajectory:
-    """Single-path version of simulate_sde_batch; states come back (n+1, D)."""
-    x0 = _as_point(mgp, x0)
-    traj = simulate_sde_batch(mgp, x0[None, :], n_steps, rng)
-    return Trajectory(times=traj.times, states=traj.states[:, 0, :])
-
-
 # ---------------------------------------------------------------------------
 # Brute-force oracles.
+
+
+# Points per 2-D quadrature pass: the integrand's (points, C) arrays then
+# stay in the tens of megabytes at the default grid.
+_QUADRATURE_CHUNK = 2 ** 20
 
 
 def _axis_ranges(centers: list[np.ndarray], spreads: list[np.ndarray],
@@ -326,7 +314,7 @@ def _log_integral(log_integrand, ranges, min_width: float, n_nodes: int) -> floa
         vals = log_integrand(grids[0][:, None]) + log_w[0]
         return float(logsumexp(vals))
     chunk_totals = []
-    chunk = max(1, 8_000_000 // grids[1].shape[0])
+    chunk = max(1, _QUADRATURE_CHUNK // grids[1].shape[0])
     for start in range(0, grids[0].shape[0], chunk):
         rows = grids[0][start:start + chunk]
         yy, xx = np.meshgrid(grids[1], rows)

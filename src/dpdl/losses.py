@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, ValidationError
-from .prototypes import _LOG_2PI, MGP, MGPParams, logsumexp, mgp_realize
+from .prototypes import MGP, MGPParams, _log_components, logsumexp, mgp_realize
 
 
 @dataclass(frozen=True)
@@ -99,11 +99,7 @@ def _self_likelihood(mgp: MGP):
     # sum_d (mu_cd - mu_kd)^2 / sigma_kd, clipped at 0; zero on the diagonal.
     sq = np.maximum(mgp.sq_distances(mgp.mu), 0.0)
     np.fill_diagonal(sq, 0.0)
-    energy = (
-        np.log(mgp.alpha)[None, :]
-        - 0.5 * (mgp.dim * _LOG_2PI + mgp.sum_log_sigma)[None, :]
-        - 0.5 * sq
-    )                                                       # (c_eval, k_comp)
+    energy = _log_components(mgp, sq)                       # (c_eval, k_comp)
     norms = logsumexp(energy, axis=1)
     return float(np.mean(norms)), np.exp(energy - norms[:, None])
 

@@ -185,31 +185,24 @@ def mgp_realize(params: MGPParams) -> MGP:
     return MGP(alpha=alpha, mu=params.m.copy(), sigma=np.exp(params.s), epsilon=params.epsilon)
 
 
-def diag_mixture_log_density(log_weights: np.ndarray, means: np.ndarray,
-                             variances: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Log density of a diagonal-covariance Gaussian mixture.
-
-    Accepts one point (D,) or a batch (N, D); returns a float or (N,)
-    array accordingly.  Shared by the prototype mixture and the various
-    conditional mixtures derived from it.
-    """
-    points = np.asarray(points, dtype=np.float64)
-    single = points.ndim == 1
-    pts = points[None, :] if single else points
-    dim = means.shape[1]
-    if pts.ndim != 2 or pts.shape[1] != dim:
-        raise ValidationError(f"points must have dimension {dim}, got shape {points.shape}")
-    diff = pts[:, None, :] - means[None, :, :]             # (N, C, D)
-    log_comp = -0.5 * np.sum(diff * diff / variances[None, :, :], axis=2)
-    log_comp -= 0.5 * np.sum(np.log(variances), axis=1)[None, :]
-    log_comp -= 0.5 * dim * _LOG_2PI
-    out = logsumexp(log_comp + log_weights[None, :], axis=1)
-    return float(out[0]) if single else out
+def _log_components(mgp: MGP, sq: np.ndarray) -> np.ndarray:
+    """log alpha_k + log N(y; mu_k, diag sigma_k) (N, C) from the distances
+    sq = sum_d (y - mu_k)^2 / sigma_k (N, C) of each point y to each component k."""
+    return (
+        np.log(mgp.alpha)[None, :]
+        - 0.5 * (mgp.dim * _LOG_2PI + mgp.sum_log_sigma)[None, :]
+        - 0.5 * sq
+    )
 
 
 def mgp_log_density(mgp: MGP, points: np.ndarray) -> np.ndarray:
-    """Mixture log density at one point (D,) or a batch (N, D)."""
-    return diag_mixture_log_density(np.log(mgp.alpha), mgp.mu, mgp.sigma, points)
+    """Mixture log density (N,) at a batch of points (N, D).
+
+    Built on ``MGP.sq_distances`` clipped at zero, so nothing of shape
+    (N, C, D) is formed.
+    """
+    sq = np.maximum(mgp.sq_distances(mgp.points(points)), 0.0)
+    return logsumexp(_log_components(mgp, sq), axis=1)
 
 
 @dataclass(frozen=True)

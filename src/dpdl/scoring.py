@@ -17,6 +17,7 @@ SCORE_CHUNK items, so a score does not depend on the items beside it.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -136,20 +137,15 @@ def topk_mean(scores: np.ndarray, fraction: float) -> float:
     return float(np.mean(flat[idx]))
 
 
-def _bce(z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Elementwise stable binary cross-entropy on logits and its derivative in z."""
+def bce_with_logits(z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise stable binary cross-entropy of logits z against 0/1 labels y,
+    and its derivative in z; scalars are arrays of one."""
     if not np.all((y == 0) | (y == 1)):
         raise ValidationError(f"labels must be 0 or 1, got {y}")
     e = np.exp(-np.abs(z))
     loss = np.maximum(z, 0.0) - z * y + np.log1p(e)
     sig = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     return loss, sig - y
-
-
-def bce_with_logits(z: float, y: int) -> tuple[float, float]:
-    """Numerically stable binary cross-entropy and its derivative in z."""
-    loss, dz = _bce(np.float64(z), np.asarray(y))
-    return float(loss), float(dz)
 
 
 @dataclass(frozen=True)
@@ -163,7 +159,7 @@ class HeadLoss:
 
 def _mean_bce(z: np.ndarray, labels: np.ndarray, inputs: np.ndarray) -> HeadLoss:
     """Batch-mean BCE of logits z (B,), where z_b = inputs[b] @ w + b."""
-    loss, dz = _bce(z, labels)
+    loss, dz = bce_with_logits(z, labels)
     return HeadLoss(value=float(np.mean(loss)), grad_w=np.mean(dz[:, None] * inputs, axis=0),
                     grad_b=np.array([np.mean(dz)]))
 
@@ -261,6 +257,8 @@ def anomaly_scores(mgp: MGP, heads: ScoringHeads, fms, residual_scale: str = "st
     (N, H, W, d) stack or a sequence of grids or FeatureMaps: pooled
     anomaly + pooled residual - normality.
 
+    Items whose H * W * d is not the mixture's D, or whose d is not the
+    heads' channel count, are a ValidationError naming both shapes.
     Each term is the pooled logit its head loss trains.  Each pass gathers
     SCORE_CHUNK rows into a stack padded with zero rows, so an item's score
     has the same bits whatever else its pass holds.  A non-finite score, or
@@ -268,6 +266,9 @@ def anomaly_scores(mgp: MGP, heads: ScoringHeads, fms, residual_scale: str = "st
     raises NumericError naming the item at fault.
     """
     grids, names = _rows_of(fms)
+    if grids.ndim == 4 and (math.prod(grids.shape[1:]) != mgp.dim or grids.shape[3] != heads.channels):
+        raise ValidationError(f"items of shape {grids.shape[1:]} do not fit the model, which takes "
+                              f"{mgp.dim} values per item in cells of {heads.channels} channels")
     ids = np.arange(len(grids)) if ids is None else checked_ids(ids, len(grids))
 
     def item(i) -> str:

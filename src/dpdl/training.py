@@ -12,8 +12,9 @@ loss.
 
 The trained state is four float64 vectors laid out by ``_PARAM_TABLE``:
 the parameters θ, their gradient and AdamW's two moments.  The prototype
-parameters, the heads and the named moments are views into them; the
-gradient clip and AdamW are one ``optimizer_step`` over the vectors.
+parameters, the heads and the named moments are views into them, and each
+loss writes its gradient into the gradient's views by name; the gradient
+clip and AdamW are one ``optimizer_step`` over the vectors.
 
 A checkpoint (magic ``DPDLCKPT``, version 3) is a little-endian
 ``_CKPT_HEADER`` holding the dimensions the table takes beyond the config,
@@ -247,7 +248,10 @@ def train(dataset: Dataset, split: SplitPlan, config: TrainConfig,
 
     ``resume`` continues a checkpoint whose config matches except for the
     epoch budget; the random stream picks up exactly where it stopped, so
-    a 25+25-epoch run equals a straight 50-epoch run bit for bit.
+    a 25+25-epoch run equals a straight 50-epoch run bit for bit.  The loop
+    runs with numpy's overflow, division-by-zero and invalid-operation
+    errors raised; a diverging run is a NumericError naming its epoch and
+    iteration.
     """
     normal_pool, anomaly_pool, _ = (checked_ids(ids, len(dataset)) for ids in (
         split.train_normal_ids, split.train_anomaly_ids, split.test_ids))
@@ -273,39 +277,48 @@ def train(dataset: Dataset, split: SplitPlan, config: TrainConfig,
         start_epoch = resume.epoch
 
     params, heads = _unpack(theta, layout, config)
+    grad = np.empty_like(theta)
+    g = _views(grad, layout)
     n_pseudo = int(np.floor(config.pseudo_anomaly_rate * config.batch_size))
     log_rows: list[EpochLog] = []
 
-    for epoch in range(start_epoch, config.epochs):
-        sums = np.zeros(7)
-        for it in range(config.iters_per_epoch):
-            grids, labels = _draw_batch(dataset, normal_pool, anomaly_pool, config.batch_size, n_pseudo, rng)
-            mgp = mgp_realize(params)
-            ha = head_loss_anomaly(heads, grids, labels)
-            hn = head_loss_normal(heads, grids, labels)
-            hr = head_loss_residual(heads, mgp, grids, labels, residual_scale=config.residual_scale)
-            l_ma, l_mn, l_mr = ha.value, hn.value, hr.value
+    epoch = it = 0
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            for epoch in range(start_epoch, config.epochs):
+                sums = np.zeros(7)
+                for it in range(config.iters_per_epoch):
+                    grids, labels = _draw_batch(dataset, normal_pool, anomaly_pool, config.batch_size,
+                                                n_pseudo, rng)
+                    mgp = mgp_realize(params)
+                    ha = head_loss_anomaly(heads, grids, labels)
+                    hn = head_loss_normal(heads, grids, labels)
+                    hr = head_loss_residual(heads, mgp, grids, labels, residual_scale=config.residual_scale)
+                    l_ma, l_mn, l_mr = ha.value, hn.value, hr.value
 
-            flats = grids.reshape(len(grids), -1)
-            anomalous = flats[config.batch_size:]
-            dpl = loss_dpl(mgp, flats[:config.batch_size], anomalous if len(anomalous) else None)
-            grad = np.concatenate([g.reshape(-1) for g in (dpl.grad_a, dpl.grad_m, dpl.grad_s, ha.grad_w,
-                                                            ha.grad_b, hn.grad_w, hn.grad_b, hr.grad_w, hr.grad_b)])
+                    flats = grids.reshape(len(grids), -1)
+                    anomalous = flats[config.batch_size:]
+                    dpl = loss_dpl(mgp, flats[:config.batch_size], anomalous if len(anomalous) else None)
+                    g["a"][...], g["m"][...], g["s"][...] = dpl.grad_a, dpl.grad_m, dpl.grad_s
+                    for h, loss in zip("anr", (ha, hn, hr)):
+                        g[f"w_{h}"][...], g[f"b_{h}"][...] = loss.grad_w, loss.grad_b
 
-            dfl = loss_dfl(unitize(flats), config.kappa)
+                    dfl = loss_dfl(unitize(flats), config.kappa)
 
-            total = l_ma + l_mn + l_mr + dpl.normal + dpl.anomaly + config.lambda_ * dfl.value
-            if not np.isfinite(total):
-                raise NumericError(
-                    f"non-finite loss at epoch {epoch + 1} iteration {it + 1}: "
-                    f"L_Ma={l_ma} L_Mn={l_mn} L_Mr={l_mr} "
-                    f"L_DPLn={dpl.normal} L_DPLa={dpl.anomaly} L_DFL={dfl.value}")
+                    total = l_ma + l_mn + l_mr + dpl.normal + dpl.anomaly + config.lambda_ * dfl.value
+                    if not np.isfinite(total):
+                        raise NumericError(
+                            f"non-finite loss at epoch {epoch + 1} iteration {it + 1}: "
+                            f"L_Ma={l_ma} L_Mn={l_mn} L_Mr={l_mr} "
+                            f"L_DPLn={dpl.normal} L_DPLa={dpl.anomaly} L_DFL={dfl.value}")
 
-            optimizer_step(theta, grad, opt, config.learning_rate, config.weight_decay)
+                    optimizer_step(theta, grad, opt, config.learning_rate, config.weight_decay)
 
-            sums += np.array([l_ma, l_mn, l_mr, dpl.normal, dpl.anomaly, dfl.value, total])
-        means = sums / config.iters_per_epoch
-        log_rows.append(EpochLog(epoch + 1, *[float(v) for v in means]))
+                    sums += np.array([l_ma, l_mn, l_mr, dpl.normal, dpl.anomaly, dfl.value, total])
+                means = sums / config.iters_per_epoch
+                log_rows.append(EpochLog(epoch + 1, *[float(v) for v in means]))
+    except FloatingPointError as exc:
+        raise NumericError(f"floating-point fault at epoch {epoch + 1} iteration {it + 1}: {exc}") from None
 
     ckpt = Checkpoint(config, opt, rng.bit_generator.state, config.epochs, theta)
     return TrainResult(checkpoint=ckpt, log=tuple(log_rows))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bridge import (CondGMM, conditional_plan, drift, log_partition,
+from .bridge import (CondGMM, conditional_plan, drift_batch, log_partition,
                      quadrature_oracle_log_bridge_potential,
                      quadrature_oracle_log_partition, sample_endpoint,
                      simulate_sde_batch, sinkhorn_eot_oracle, terminal_plan)
@@ -105,7 +105,7 @@ def check_drift(n_instances: int = 10, seed: int = 303) -> CheckResult:
             g = 0.0
             for _ in range(100):
                 x = rng.uniform(-2.5, 2.5, 1)
-                g = float(drift(mgp, x, t)[0])
+                g = float(drift_batch(mgp, x[None], t)[0, 0])
                 if abs(g) >= 0.05:
                     break
             h = 1e-5 * max(1.0, abs(float(x[0])))
@@ -195,10 +195,10 @@ def check_time_degeneracy() -> CheckResult:
     x = np.array([0.0])
     worst = 0.0
     for t in (0.9, 0.99, 0.999):
-        g = float(drift(mgp, x, t)[0])
+        g = float(drift_batch(mgp, x[None], t)[0, 0])
         worst = max(worst, abs(g * (1.0 - t) - 2.0) / 2.0)
     try:
-        drift(mgp, x, 1.0)
+        drift_batch(mgp, x[None], 1.0)
         rejected = False
     except DomainError:
         rejected = True

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from conftest import random_mgp
-from dpdl.bridge import (CondGMM, conditional_plan, drift, drift_batch,
+from dpdl.bridge import (CondGMM, conditional_plan, drift_batch,
                          log_partition, posterior_mode_index,
                          quadrature_oracle_log_bridge_potential,
                          quadrature_oracle_log_partition, sample_endpoint,
-                         simulate_sde, simulate_sde_batch, sinkhorn_eot_oracle,
-                         terminal_plan, tilted_log_weights)
+                         simulate_sde_batch, sinkhorn_eot_oracle,
+                         terminal_plan)
 from dpdl.errors import (DomainError, NumericError, UnsupportedError,
                          ValidationError)
 from dpdl.prototypes import MGP
@@ -63,7 +63,7 @@ class TestConditionalPlan:
         assert np.all(cond.weights > 0)
         assert np.allclose(cond.means, mgp.mu + mgp.sigma * x / 0.7, atol=1e-14)
         assert np.array_equal(cond.variances, mgp.sigma)
-        lw = tilted_log_weights(mgp, x)
+        lw = mgp.tilted_logits(x[None])[0]
         want = np.exp(lw - lw.max())
         assert np.allclose(cond.weights, want / want.sum(), atol=1e-13)
 
@@ -132,7 +132,7 @@ class TestDrift:
         prec = t / tau + 1 / 0.4
         lin = x / tau + 1.1 / 0.4
         want = (lin / prec - x) / (1 - t)
-        got = drift(mgp, np.array([x]), t)[0]
+        got = drift_batch(mgp, np.array([[x]]), t)[0, 0]
         assert abs(got - want) < 1e-12
 
     def test_symmetric_mixture_zero_at_origin(self):
@@ -140,14 +140,14 @@ class TestDrift:
                   mu=np.array([[-1.5], [1.5]]),
                   sigma=np.array([[0.5], [0.5]]), epsilon=0.8)
         for t in (0.0, 0.3, 0.7):
-            assert abs(drift(mgp, np.zeros(1), t)[0]) < 1e-12
+            assert abs(drift_batch(mgp, np.zeros((1, 1)), t)[0, 0]) < 1e-12
 
     def test_batch_agrees_with_single(self, rng):
         mgp = random_mgp(rng, 3, 2, epsilon=0.5)
         xs = rng.normal(size=(6, 2))
         batch = drift_batch(mgp, xs, 0.4)
         for i in range(6):
-            assert np.allclose(batch[i], drift(mgp, xs[i], 0.4), atol=0)
+            assert np.allclose(batch[i], drift_batch(mgp, xs[i:i + 1], 0.4)[0], atol=0)
 
     def test_matches_finite_difference_of_potential(self, rng):
         mgp = random_mgp(rng, 2, 1, epsilon=0.5)
@@ -157,7 +157,7 @@ class TestDrift:
             up = quadrature_oracle_log_bridge_potential(mgp, x + h, t)
             down = quadrature_oracle_log_bridge_potential(mgp, x - h, t)
             fd = mgp.epsilon * (up - down) / (2 * h)
-            got = float(drift(mgp, x, t)[0])
+            got = float(drift_batch(mgp, x[None], t)[0, 0])
             assert abs(got - fd) <= 1e-5 * max(1.0, abs(fd))
 
     def test_state_validation(self, rng):
@@ -170,11 +170,11 @@ class TestDrift:
     def test_time_validation(self, rng):
         mgp = random_mgp(rng, 2, 1)
         with pytest.raises(ValidationError):
-            drift(mgp, np.zeros(1), -0.1)
+            drift_batch(mgp, np.zeros((1, 1)), -0.1)
         with pytest.raises(DomainError):
-            drift(mgp, np.zeros(1), 1.0)
+            drift_batch(mgp, np.zeros((1, 1)), 1.0)
         with pytest.raises(DomainError):
-            drift(mgp, np.zeros(1), 1.5)
+            drift_batch(mgp, np.zeros((1, 1)), 1.5)
 
 
 class TestTerminalPlan:
@@ -199,17 +199,17 @@ class TestTerminalPlan:
 class TestSimulate:
     def test_shapes_and_times(self, rng):
         mgp = random_mgp(rng, 2, 3, epsilon=0.4)
-        traj = simulate_sde(mgp, np.zeros(3), 8, rng)
-        assert traj.states.shape == (9, 3)
+        traj = simulate_sde_batch(mgp, np.zeros((1, 3)), 8, rng)
+        assert traj.states.shape == (9, 1, 3)
         assert np.allclose(traj.times, np.arange(9) / 8)
-        assert np.array_equal(traj.states[0], np.zeros(3))
+        assert np.array_equal(traj.states[0], np.zeros((1, 3)))
         batch = simulate_sde_batch(mgp, np.zeros((5, 3)), 8, rng)
         assert batch.states.shape == (9, 5, 3)
 
     def test_deterministic_given_generator(self, rng):
         mgp = random_mgp(rng, 2, 1, epsilon=0.4)
-        a = simulate_sde(mgp, np.array([0.1]), 16, np.random.default_rng(9))
-        b = simulate_sde(mgp, np.array([0.1]), 16, np.random.default_rng(9))
+        a = simulate_sde_batch(mgp, np.array([[0.1]]), 16, np.random.default_rng(9))
+        b = simulate_sde_batch(mgp, np.array([[0.1]]), 16, np.random.default_rng(9))
         assert np.array_equal(a.states, b.states)
 
     def test_single_step_draw_is_exact(self, rng):
@@ -234,7 +234,7 @@ class TestSimulate:
     def test_validation(self, rng):
         mgp = random_mgp(rng, 2, 1)
         with pytest.raises(ValidationError):
-            simulate_sde(mgp, np.zeros(1), 0, rng)
+            simulate_sde_batch(mgp, np.zeros((1, 1)), 0, rng)
         with pytest.raises(ValidationError):
             simulate_sde_batch(mgp, np.zeros((2, 3)), 4, rng)
         with pytest.raises(ValidationError):

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -233,6 +234,51 @@ class TestExtremeCheckpoint:
         assert rc == 3
         assert "dpdl: numeric failure" in capsys.readouterr().err
         assert not out.exists()
+
+
+
+class TestMisfitData:
+    # (4, 2, 16) has the checkpoint's D = 128 but not its 8 channels.
+    @pytest.mark.parametrize("dims", [(4, 2, 16), (2, 2, 8)])
+    def test_score_is_a_validation_error(self, bundled, dims, capsys):
+        configs = Path(dpdl.__file__).resolve().parent / "configs"
+        text = (configs / "synth_benchmark.cfg").read_text()
+        for key, value in zip(("height", "width", "channels"), dims):
+            text = re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
+        tag = "x".join(map(str, dims))
+        (bundled / f"{tag}.cfg").write_text(text)
+        data = bundled / f"{tag}.dpdlfeat"
+        assert main(["synth", "--config", str(bundled / f"{tag}.cfg"), "--seed", "0", "--out", str(data)]) == 0
+        assert read_feature_file(data).dims == dims
+        capsys.readouterr()
+        out = bundled / f"{tag}.csv"
+        rc = main(["score", "--model", str(bundled / "model.ckpt"), "--data", str(data), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"items of shape {dims} do not fit the model" in err
+        assert "128 values per item in cells of 8 channels" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
+class TestDivergentTraining:
+    @pytest.mark.parametrize("setting", ["learning_rate = 1e300", "epsilon = 1e-300"])
+    def test_train_is_a_numeric_error(self, bundled, setting, capsys):
+        key = setting.split()[0]
+        text = re.sub(rf"(?m)^{key} = .*$", setting, (bundled / "train.cfg").read_text())
+        cfg = bundled / f"{key}.cfg"
+        cfg.write_text(text)
+        out = bundled / f"{key}.ckpt"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["train", "--data", str(bundled / "data.dpdlfeat"), "--protocol", "hard", "--m", "1",
+                       "--seed", "0", "--config", str(cfg), "--out", str(out)])
+        assert [str(w.message) for w in caught] == []
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert re.search(r"dpdl: numeric failure: floating-point fault at epoch 1 iteration \d+: ", err), err
+        assert not out.exists()
+        assert not Path(str(out) + ".log.csv").exists()
 
 
 def test_import_loads_no_scipy():

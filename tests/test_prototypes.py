@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import logsumexp as scipy_logsumexp
@@ -6,7 +8,7 @@ from scipy.stats import norm
 from conftest import assert_close, random_params
 from dpdl.errors import ValidationError
 from dpdl.prototypes import (MGP, MGPParams, _kmeans_pp_seed, _nearest_codewords,
-                             diag_mixture_log_density, logsumexp, mgp_log_density, mgp_new, mgp_realize, vq_init)
+                             logsumexp, mgp_log_density, mgp_new, mgp_realize, vq_init)
 
 
 def same_bits(x, y) -> bool:
@@ -134,7 +136,7 @@ class TestLogDensity:
                  + norm.logpdf(pt[1], mgp.mu[c, 1], np.sqrt(mgp.sigma[c, 1]))
                  for c in range(3)]
         want = np.logaddexp.reduce(parts)
-        assert abs(mgp_log_density(mgp, pt) - want) < 1e-12
+        assert abs(mgp_log_density(mgp, pt[None])[0] - want) < 1e-12
 
     def test_density_normalizes_in_1d(self, rng):
         from conftest import random_mgp
@@ -149,14 +151,14 @@ class TestLogDensity:
         mgp = MGP(alpha=np.array([1.0]), mu=np.zeros((1, 2)),
                   sigma=np.ones((1, 2)), epsilon=1.0)
         with pytest.raises(ValidationError):
-            mgp_log_density(mgp, np.zeros(3))
+            mgp_log_density(mgp, np.zeros((1, 3)))
 
     def test_batch_and_single_agree(self, rng):
         from conftest import random_mgp
         mgp = random_mgp(rng, 2, 3)
         pts = rng.normal(size=(5, 3))
         batch = mgp_log_density(mgp, pts)
-        singles = [mgp_log_density(mgp, p) for p in pts]
+        singles = [mgp_log_density(mgp, p[None])[0] for p in pts]
         assert np.allclose(batch, singles, atol=0)
 
     def test_shared_kernel_against_direct_formula(self, rng):
@@ -166,8 +168,33 @@ class TestLogDensity:
         pt = rng.normal(size=2)
         comps = [lw[c] - 0.5 * np.sum((pt - means[c]) ** 2 / variances[c])
                  - 0.5 * np.sum(np.log(2 * np.pi * variances[c])) for c in range(2)]
-        assert abs(diag_mixture_log_density(lw, means, variances, pt)
-                   - np.logaddexp(*comps)) < 1e-12
+        mgp = MGP(alpha=np.array([0.25, 0.75]), mu=means, sigma=variances, epsilon=1.0)
+        assert abs(mgp_log_density(mgp, pt[None])[0] - np.logaddexp(*comps)) < 1e-12
+
+    def test_wide_batch_builds_no_component_tensor(self):
+        # One (N, C, D) float64 array would take 134 MB here; the expanded
+        # distances need a few (N, D), (C, D) and (N, C) arrays.
+        from conftest import random_mgp
+        from dpdl.bridge import conditional_plan
+        n, c, d = 512, 32, 1024
+        rng = np.random.default_rng(8)
+        mgp = random_mgp(rng, c, d, epsilon=2.0)
+        pts = mgp.mu[rng.integers(0, c, n)] + rng.normal(size=(n, d))
+        cond = conditional_plan(mgp, rng.normal(size=d))
+        cases = ((lambda: mgp_log_density(mgp, pts), mgp.mu, mgp.sigma, mgp.alpha),
+                 (lambda: cond.log_density(pts), cond.means, cond.variances, cond.weights))
+        for density, means, variances, weights in cases:
+            tracemalloc.start()
+            try:
+                got = density()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 3 * 8 * (n * d + c * d + n * c)
+            diff = pts[:4, None, :] - means[None]
+            direct = scipy_logsumexp(np.log(weights) - 0.5 * np.sum(
+                diff * diff / variances + np.log(2 * np.pi * variances), axis=2), axis=1)
+            assert_close(got[:4], direct, rtol=1e-12)
 
 
 def direct_kmeans_pp_seed(x, k, rng):
