@@ -9,9 +9,10 @@ quantity here is exact up to floating point:
   form (each Gaussian contributes its moment-generating function).
 * ``conditional_plan`` gives the endpoint law given a source point as a
   reweighted, shifted mixture with unchanged per-component variances.
-* ``drift_batch`` evaluates the optimal control as a posterior-mean contraction:
-  each component acquires diagonal precision ``t/(eps*(1-t)) + 1/sigma_c``
-  and linear term ``x/(eps*(1-t)) + mu_c/sigma_c``.
+* ``drift_batch`` is (posterior mean - x)/(1-t) over the time-t posterior
+  of the terminal point, with the (1-t) divided out by hand:
+  sum_c w_c ((sigma_c - eps)*x + eps*mu_c)/v_c, v_c = t*sigma_c + eps*(1-t).
+  It builds only (B, C) and (C, D) arrays and cancels nothing as t -> 1.
 
 Brute-force checks live alongside: log-space trapezoid quadrature for the
 partition and potential integrals (dimension 1 and 2 only) and a log-domain
@@ -20,6 +21,7 @@ Sinkhorn solver for the discrete coupling.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,11 +43,6 @@ def log_partition(mgp: MGP, x: np.ndarray) -> float:
     return float(logsumexp(mgp.tilted_logits(_as_point(mgp, x)[None])[0]))
 
 
-def mixture_mean(weights: np.ndarray, means: np.ndarray) -> np.ndarray:
-    """Weight-averaged component mean: (C,) or (B, C) weights against (C, D) means."""
-    return weights @ means
-
-
 @dataclass(frozen=True)
 class CondGMM:
     """A conditional endpoint law: Gaussian mixture with diagonal variances."""
@@ -57,11 +54,13 @@ class CondGMM:
 
     def log_density(self, points: np.ndarray) -> np.ndarray:
         """Log density (N,) at a batch of points (N, D); see ``mgp_log_density``.
-        ε plays no part in a density."""
-        return mgp_log_density(MGP(self.weights, self.means, self.variances, epsilon=1.0), points)
+        ε plays no part in a density.  A weight that underflowed to 0 has
+        log weight -inf, the right value, so its divide warning is silenced."""
+        with np.errstate(divide="ignore"):
+            return mgp_log_density(MGP(self.weights, self.means, self.variances, epsilon=1.0), points)
 
     def mean(self) -> np.ndarray:
-        return mixture_mean(self.weights, self.means)
+        return self.weights @ self.means
 
 
 def plan_weights(mgp: MGP, xs: np.ndarray) -> np.ndarray:
@@ -82,7 +81,7 @@ def plan_endpoints(mgp: MGP, weights: np.ndarray, xs: np.ndarray) -> np.ndarray:
     (w @ mu) + (w @ sigma) * x / eps, so the (B, C, D) component means are
     never formed.
     """
-    return mixture_mean(weights, mgp.mu) + mixture_mean(weights, mgp.sigma) * (xs / mgp.epsilon)
+    return weights @ mgp.mu + (weights @ mgp.sigma) * (xs / mgp.epsilon)
 
 
 def conditional_plan(mgp: MGP, x: np.ndarray) -> CondGMM:
@@ -128,44 +127,44 @@ def posterior_mode_index(mgp: MGP, psi: np.ndarray) -> int:
     return int(posterior_mode_indices(mgp, _as_point(mgp, psi)[None, :])[0])
 
 
-def _posterior_terms(mgp: MGP, xs: np.ndarray, t: float):
-    """Batched component posteriors of the terminal point given state x at time t.
+def _time_posterior(mgp: MGP, xs: np.ndarray, t: float):
+    """Component weights w (B, C) of the terminal point given states xs (B, D)
+    at time t in [0, 1), and v = t*sigma + tau (C, D) with tau = eps*(1-t).
 
-    Returns (log_resp (B, C) normalized, means (B, C, D), variances (C, D)).
+    Given component c the terminal point has mean (sigma_c/v_c)*x + tau*mu_c/v_c
+    and variance tau*sigma_c/v_c.  The logits log alpha - sum log v / 2
+    + x.(mu/v) - t sum mu^2/v / 2 + x^2.(sigma/(tau v)) / 2 are (B, D) @ (D, C)
+    products; at t = 0 they are ``MGP.tilted_logits`` up to a constant.
     """
-    e = mgp.epsilon
-    tau = e * (1.0 - t)
-    prec = t / tau + mgp.inv_sigma                         # (C, D)
-    lin = xs[:, None, :] / tau + mgp.mu_over_sigma[None, :, :]      # (B, C, D)
-    means = lin / prec[None, :, :]
-    log_resp = (
-        np.log(mgp.alpha)[None, :]
-        - 0.5 * mgp.sum_log_sigma[None, :]
-        - 0.5 * np.sum(np.log(prec), axis=1)[None, :]
-        - 0.5 * mgp.sum_mu_mu_over_sigma[None, :]
-        + 0.5 * np.sum(lin * lin / prec[None, :, :], axis=2)
-    )
-    log_resp = log_resp - logsumexp(log_resp, axis=1, keepdims=True)
-    return log_resp, means, 1.0 / prec
+    tau = mgp.epsilon * (1.0 - t)
+    v = t * mgp.sigma + tau
+    mu_over_v = mgp.mu / v
+    logits = (np.log(mgp.alpha)
+              - 0.5 * np.sum(np.log(v), axis=1)
+              - (0.5 * t) * np.sum(mgp.mu * mu_over_v, axis=1)
+              + xs @ mu_over_v.T
+              + 0.5 * ((xs * xs) @ (mgp.sigma / (tau * v)).T))
+    return np.exp(logits - logsumexp(logits, axis=1, keepdims=True)), v
 
 
 def _check_time(t: float) -> float:
-    t = float(t)
-    if not np.isfinite(t) or t < 0.0:
-        raise ValidationError(f"time must lie in [0, 1), got {t}")
+    if isinstance(t, bool) or not isinstance(t, numbers.Real) or not 0.0 <= t < np.inf:
+        raise ValidationError(f"time must be a real number in [0, 1), got {t!r}")
     if t >= 1.0:
         raise DomainError(f"drift is undefined at t >= 1, got t={t}")
-    return t
+    return float(t)
 
 
 def drift_batch(mgp: MGP, xs: np.ndarray, t: float) -> np.ndarray:
-    """Optimal drift evaluated at a batch of states xs with shape (B, D)."""
+    """Optimal drift evaluated at a batch of states xs with shape (B, D).
+
+    (posterior mean - x)/(1-t) with the (1-t) divided out:
+    (w @ ((sigma - eps)/v)) * x + eps * (w @ (mu/v)); see ``_time_posterior``.
+    """
     t = _check_time(t)
     xs = mgp.points(xs)
-    log_resp, means, _ = _posterior_terms(mgp, xs, t)
-    resp = np.exp(log_resp)
-    posterior_mean = np.einsum("bc,bcd->bd", resp, means)
-    return (posterior_mean - xs) / (1.0 - t)
+    w, v = _time_posterior(mgp, xs, t)
+    return (w @ ((mgp.sigma - mgp.epsilon) / v)) * xs + mgp.epsilon * (w @ (mgp.mu / v))
 
 
 def terminal_plan(mgp: MGP, x: np.ndarray, t: float) -> CondGMM:
@@ -176,9 +175,10 @@ def terminal_plan(mgp: MGP, x: np.ndarray, t: float) -> CondGMM:
     """
     x = _as_point(mgp, x)
     t = _check_time(t)
-    log_resp, means, variances = _posterior_terms(mgp, x[None, :], t)
-    return CondGMM(weights=np.exp(log_resp[0]), means=means[0],
-                   variances=np.broadcast_to(variances, means[0].shape).copy(), x=x)
+    tau = mgp.epsilon * (1.0 - t)
+    w, v = _time_posterior(mgp, x[None, :], t)
+    r = mgp.sigma / v
+    return CondGMM(weights=w[0], means=r * x + tau * (mgp.mu / v), variances=tau * r, x=x)
 
 
 @dataclass(frozen=True)
@@ -197,27 +197,32 @@ def simulate_sde_batch(mgp: MGP, x0: np.ndarray, n_steps: int,
     endpoint given the penultimate state, so discretization bias enters
     only through the Euler stretch.  With n_steps=1 the draw is exact.
     """
-    if n_steps < 1:
-        raise ValidationError(f"n_steps must be >= 1, got {n_steps}")
+    if isinstance(n_steps, bool) or not isinstance(n_steps, numbers.Integral) or n_steps < 1:
+        raise ValidationError(f"n_steps must be an integer >= 1, got {n_steps!r}")
     x0 = mgp.points(x0)
     batch, dim = x0.shape
     dt = 1.0 / n_steps
     times = np.arange(n_steps + 1) / n_steps
     states = np.empty((n_steps + 1, batch, dim))
     states[0] = x0
-    x = x0.copy()
+    # Noise is drawn into the next state's slot: a step holds the drift and one (B, D) temporary.
     for k in range(n_steps - 1):
-        g = drift_batch(mgp, x, k * dt)
-        x = x + g * dt + np.sqrt(mgp.epsilon * dt) * rng.standard_normal((batch, dim))
-        states[k + 1] = x
-    log_resp, means, variances = _posterior_terms(mgp, x, (n_steps - 1) * dt)
-    resp = np.exp(log_resp)
-    # Vectorized categorical draw per row, then the Gaussian component draw.
-    cum = np.cumsum(resp, axis=1)
+        x = states[k]
+        step = rng.standard_normal(out=states[k + 1])
+        step *= np.sqrt(mgp.epsilon * dt)
+        step += x + drift_batch(mgp, x, k * dt) * dt
+    x = states[n_steps - 1]
+    t = (n_steps - 1) * dt
+    tau = mgp.epsilon * (1.0 - t)
+    w, v = _time_posterior(mgp, x, t)
+    # A categorical draw per row, then a Gaussian draw from the chosen component's (B, D) rows.
+    cum = np.cumsum(w, axis=1)
     u = rng.random(batch)
-    idx = np.minimum((cum < u[:, None]).sum(axis=1), resp.shape[1] - 1)
-    terminal = means[np.arange(batch), idx] + np.sqrt(variances[idx]) * rng.standard_normal((batch, dim))
-    states[n_steps] = terminal
+    idx = np.minimum((cum < u[:, None]).sum(axis=1), w.shape[1] - 1)
+    r, m = mgp.sigma / v, mgp.mu / v
+    terminal = rng.standard_normal(out=states[n_steps])
+    terminal *= np.sqrt(tau * r[idx])
+    terminal += r[idx] * x + tau * m[idx]
     return Trajectory(times=times, states=states)
 
 
@@ -292,12 +297,12 @@ def quadrature_oracle_log_bridge_potential(mgp: MGP, x: np.ndarray, t: float,
     if mgp.dim > 2:
         raise UnsupportedError(f"quadrature oracle supports dimension <= 2, got {mgp.dim}")
     tau = mgp.epsilon * (1.0 - t)
-    log_resp, post_means, post_vars = _posterior_terms(mgp, x[None, :], t)
-    root_sigma = np.sqrt(mgp.sigma)
-    centers = [mgp.mu, post_means[0], x[None, :]]
-    spreads = [root_sigma, np.sqrt(post_vars), np.full((1, mgp.dim), np.sqrt(tau))]
+    plan = terminal_plan(mgp, x, t)
+    root_sigma, root_post = np.sqrt(mgp.sigma), np.sqrt(plan.variances)
+    centers = [mgp.mu, plan.means, x[None, :]]
+    spreads = [root_sigma, root_post, np.full((1, mgp.dim), np.sqrt(tau))]
     ranges = _axis_ranges(centers, spreads, mgp.dim, padding)
-    min_width = min(float(np.min(np.sqrt(post_vars))), float(np.min(root_sigma)), float(np.sqrt(tau)))
+    min_width = min(float(np.min(root_post)), float(np.min(root_sigma)), float(np.sqrt(tau)))
 
     def log_integrand(points: np.ndarray) -> np.ndarray:
         diff = points - x[None, :]
@@ -366,23 +371,18 @@ def sinkhorn_eot_oracle(source: np.ndarray, target: np.ndarray, epsilon: float,
     log_b = np.full(m, -np.log(m))
     u = np.zeros(n)
     v = np.zeros(m)
-    residual = np.inf
+
+    def coupling():
+        plan = np.exp(u[:, None] + log_kernel + v[None, :])
+        return plan, max(float(np.abs(plan.sum(axis=1) - np.exp(log_a)).max()),
+                         float(np.abs(plan.sum(axis=0) - np.exp(log_b)).max()))
+
     done = 0
     for it in range(1, n_iters + 1):
         u = log_a - logsumexp(log_kernel + v[None, :], axis=1)
         v = log_b - logsumexp(log_kernel + u[:, None], axis=0)
         done = it
-        if it % 10 == 0 or it == n_iters:
-            plan = np.exp(u[:, None] + log_kernel + v[None, :])
-            residual = max(
-                float(np.abs(plan.sum(axis=1) - np.exp(log_a)).max()),
-                float(np.abs(plan.sum(axis=0) - np.exp(log_b)).max()),
-            )
-            if residual < tol:
-                break
-    plan = np.exp(u[:, None] + log_kernel + v[None, :])
-    residual = max(
-        float(np.abs(plan.sum(axis=1) - np.exp(log_a)).max()),
-        float(np.abs(plan.sum(axis=0) - np.exp(log_b)).max()),
-    )
+        if (it % 10 == 0 or it == n_iters) and coupling()[1] < tol:
+            break
+    plan, residual = coupling()
     return SinkhornResult(plan=plan, marginal_residual=residual, iterations=done)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,17 @@ def fd_check_array(value_fn, grad, arr, h=1e-6, rtol=1e-5, atol=1e-8):
         assert err <= tol, f"index {idx}: analytic {grad[idx]:.10g} vs fd {fd:.10g}"
         it.iternext()
     return worst
+
+
+def traced_peak(fn, *args, **kwargs):
+    """fn(*args, **kwargs) and the peak bytes tracemalloc saw during the call."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 @pytest.fixture

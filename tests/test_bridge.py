@@ -1,7 +1,9 @@
+import decimal
+
 import numpy as np
 import pytest
 
-from conftest import random_mgp
+from conftest import assert_close, random_mgp, traced_peak
 from dpdl.bridge import (CondGMM, conditional_plan, drift_batch,
                          log_partition, posterior_mode_index,
                          quadrature_oracle_log_bridge_potential,
@@ -11,6 +13,33 @@ from dpdl.bridge import (CondGMM, conditional_plan, drift_batch,
 from dpdl.errors import (DomainError, NumericError, UnsupportedError,
                          ValidationError)
 from dpdl.prototypes import MGP
+
+
+def decimal_drift(mgp, x, t, digits=50):
+    """drift_batch at one state x (D,), in ``digits``-digit decimal arithmetic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        dec = decimal.Decimal
+        t = dec(t)
+        tau = dec(mgp.epsilon) * (1 - t)
+        xd = [dec(v) for v in x]
+        log_w, means = [], []
+        for c in range(mgp.n_components):
+            lw = dec(mgp.alpha[c]).ln()
+            mean = []
+            for j in range(mgp.dim):
+                sig, mu = dec(mgp.sigma[c, j]), dec(mgp.mu[c, j])
+                prec = t / tau + 1 / sig
+                lin = xd[j] / tau + mu / sig
+                lw += (lin * lin / prec - mu * mu / sig - sig.ln() - prec.ln()) / 2
+                mean.append(lin / prec)
+            log_w.append(lw)
+            means.append(mean)
+        top = max(log_w)
+        w = [(lw - top).exp() for lw in log_w]
+        total = sum(w)
+        return np.array([float((sum(wc * m[j] for wc, m in zip(w, means)) / total - xd[j]) / (1 - t))
+                         for j in range(mgp.dim)])
 
 
 def single_component(mu=0.8, sigma=0.6, epsilon=0.5):
@@ -97,6 +126,27 @@ class TestConditionalPlan:
         var = float(cond.weights @ (cond.variances[:, 0] + cond.means[:, 0] ** 2) - want ** 2)
         assert abs(draws.mean() - want) < 5 * np.sqrt(var / 20000)
 
+    def test_log_density_with_underflowed_weights(self, rng):
+        # At eps = 1e-3 the tilts differ by thousands, so 31 of the 32 plan
+        # weights are exactly 0; their log is -inf and drops out of the sum.
+        c, d = 32, 128
+        mgp = MGP(alpha=np.full(c, 1.0 / c), mu=rng.normal(size=(c, d)),
+                  sigma=np.ones((c, d)), epsilon=1e-3)
+        x = rng.normal(size=d)
+        for cond in (conditional_plan(mgp, x), terminal_plan(mgp, x, 0.0)):
+            live = np.flatnonzero(cond.weights)
+            assert live.shape == (1,)
+            k = int(live[0])
+            pts = cond.means[k] + rng.normal(size=(4, d))
+            got = cond.log_density(pts)
+            assert np.all(np.isfinite(got))
+            diff = pts - cond.means[k]
+            direct = np.log(cond.weights[k]) - 0.5 * np.sum(
+                diff * diff / cond.variances[k] + np.log(2 * np.pi * cond.variances[k]), axis=1)
+            # The means lie about |x|/eps = 1e4 from the origin, so the
+            # expanded distances lose about six digits to cancellation.
+            assert_close(got, direct, rtol=1e-9)
+
 
 class TestPlanWeightsAndMeans:
     def test_is_the_conditional_plan(self, rng):
@@ -160,6 +210,18 @@ class TestDrift:
             got = float(drift_batch(mgp, x[None], t)[0, 0])
             assert abs(got - fd) <= 1e-5 * max(1.0, abs(fd))
 
+    def test_matches_decimal_reference(self):
+        # The drift as (posterior mean - x)/(1-t) from the component
+        # precisions t/tau + 1/sigma, in 50-digit arithmetic: the cancellation
+        # in (posterior mean - x) costs nothing at that precision.
+        for c, d, eps in ((4, 3, 1e-3), (8, 16, 0.01)):
+            rng = np.random.default_rng(c)
+            mgp = random_mgp(rng, c, d, epsilon=eps)
+            xs = rng.normal(size=(3, d))
+            for t in (0.0, 0.5, 0.9, 0.99, 0.999):
+                want = np.stack([decimal_drift(mgp, x, t) for x in xs])
+                assert_close(drift_batch(mgp, xs, t), want, rtol=1e-8)
+
     def test_state_validation(self, rng):
         mgp = random_mgp(rng, 2, 1)
         with pytest.raises(ValidationError):
@@ -175,6 +237,9 @@ class TestDrift:
             drift_batch(mgp, np.zeros((1, 1)), 1.0)
         with pytest.raises(DomainError):
             drift_batch(mgp, np.zeros((1, 1)), 1.5)
+        for not_real in (None, "0.5"):
+            with pytest.raises(ValidationError):
+                drift_batch(mgp, np.zeros((1, 1)), not_real)
 
 
 class TestTerminalPlan:
@@ -239,6 +304,23 @@ class TestSimulate:
             simulate_sde_batch(mgp, np.zeros((2, 3)), 4, rng)
         with pytest.raises(ValidationError):
             simulate_sde_batch(mgp, np.array([[0.0], [np.nan]]), 4, rng)
+        for not_int in (2.5, "3"):
+            with pytest.raises(ValidationError):
+                simulate_sde_batch(mgp, np.zeros((1, 1)), not_int, rng)
+
+    def test_drift_and_simulator_build_nothing_of_shape_b_c_d(self):
+        # One (B, C, D) float64 array is 67 MB here.  The simulator's bound
+        # counts its working memory above the (3, B, D) trajectory it
+        # returns, which alone is 86% of the bound.
+        b, c, d = 256, 32, 1024
+        rng = np.random.default_rng(6)
+        mgp = random_mgp(rng, c, d, epsilon=0.01)
+        xs = rng.normal(size=(b, d))
+        bound = 3 * 8 * (b * d + c * d + b * c)
+        _, peak = traced_peak(drift_batch, mgp, xs, 0.5)
+        assert peak < bound
+        traj, peak = traced_peak(simulate_sde_batch, mgp, xs, 2, rng)
+        assert peak - traj.states.nbytes < bound
 
 
 class TestQuadratureOracle:

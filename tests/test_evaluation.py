@@ -1,9 +1,9 @@
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from dpdl.errors import NumericError, UndefinedMetricError, ValidationError
 from dpdl.evaluation import (auc, format_report, nearest_prototype_baseline_auc,
                              Report, run_experiment, score_dataset, write_report)
@@ -142,12 +142,7 @@ class TestChunkedScoring:
         chunk_bytes = SCORE_CHUNK * 2048 * 8
         peaks = {}
         for n in (2 * SCORE_CHUNK, 20 * SCORE_CHUNK):
-            tracemalloc.start()
-            try:
-                score_dataset(ckpt, ds, range(n))
-                peaks[n] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            _, peaks[n] = traced_peak(score_dataset, ckpt, ds, range(n))
         assert peaks[20 * SCORE_CHUNK] < 12 * chunk_bytes
         assert peaks[20 * SCORE_CHUNK] - peaks[2 * SCORE_CHUNK] < chunk_bytes
 

@@ -1,9 +1,7 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
-from conftest import assert_close, fd_check_array, random_params
+from conftest import assert_close, fd_check_array, random_params, traced_peak
 from dpdl.errors import DegenerateInputError, ValidationError
 from dpdl.losses import loss_dfl, loss_dpl, loss_dpl_anomaly, loss_dpl_normal, unitize
 from dpdl.prototypes import MGPParams, mgp_realize
@@ -119,12 +117,7 @@ class TestFusedDPL:
         normal = rng.normal(size=(n, d))
         anomaly = rng.normal(size=(4, d))
         for batches in ((normal,), (normal, anomaly)):
-            tracemalloc.start()
-            try:
-                loss_dpl(mgp_realize(params), *batches)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            _, peak = traced_peak(lambda: loss_dpl(mgp_realize(params), *batches))
             assert peak < 16 * c * d * 8
 
 

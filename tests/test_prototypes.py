@@ -1,11 +1,9 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from scipy.special import logsumexp as scipy_logsumexp
 from scipy.stats import norm
 
-from conftest import assert_close, random_params
+from conftest import assert_close, random_params, traced_peak
 from dpdl.errors import ValidationError
 from dpdl.prototypes import (MGP, MGPParams, _kmeans_pp_seed, _nearest_codewords,
                              logsumexp, mgp_log_density, mgp_new, mgp_realize, vq_init)
@@ -184,12 +182,7 @@ class TestLogDensity:
         cases = ((lambda: mgp_log_density(mgp, pts), mgp.mu, mgp.sigma, mgp.alpha),
                  (lambda: cond.log_density(pts), cond.means, cond.variances, cond.weights))
         for density, means, variances, weights in cases:
-            tracemalloc.start()
-            try:
-                got = density()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            got, peak = traced_peak(density)
             assert peak < 3 * 8 * (n * d + c * d + n * c)
             diff = pts[:4, None, :] - means[None]
             direct = scipy_logsumexp(np.log(weights) - 0.5 * np.sum(

@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from conftest import random_mgp
+from conftest import random_mgp, traced_peak
 from dpdl.errors import NumericError, ValidationError
 from dpdl.features import FeatureMap
 from dpdl.prototypes import MGP
@@ -244,19 +244,13 @@ class TestResidual:
                 assert np.max(np.abs(batch - per_item)) <= 1e-12 * scale_
 
     def test_batch_builds_nothing_of_shape_b_c_d(self, rng):
-        import tracemalloc
         b, c, h, w, d = 16, 32, 8, 8, 128
         mgp = random_mgp(rng, c, h * w * d, epsilon=1e-3)
         grids = rng.normal(size=(b, h, w, d))
         heads = ScoringHeads.zeros(d)
         # The per-mixture (C, D) caches are built once per realized mixture.
         mgp.inv_sigma, mgp.mu_over_sigma, mgp.sum_mu_mu_over_sigma, mgp.sum_log_sigma
-        tracemalloc.start()
-        try:
-            head_loss_residual(heads, mgp, grids, np.arange(b) % 2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(head_loss_residual, heads, mgp, grids, np.arange(b) % 2)
         # A handful of (B, D) arrays; one (B, C, D) float64 array is 32 of them.
         assert peak < 8 * b * h * w * d * 8
 
