@@ -135,11 +135,15 @@ def _time_posterior(mgp: MGP, xs: np.ndarray, t: float):
     and variance tau*sigma_c/v_c.  The logits log alpha - sum log v / 2
     + x.(mu/v) - t sum mu^2/v / 2 + x^2.(sigma/(tau v)) / 2 are (B, D) @ (D, C)
     products; at t = 0 they are ``MGP.tilted_logits`` up to a constant.
+    A weight that underflowed to 0 has log weight -inf, the right value, so
+    its divide warning is silenced.
     """
     tau = mgp.epsilon * (1.0 - t)
     v = t * mgp.sigma + tau
     mu_over_v = mgp.mu / v
-    logits = (np.log(mgp.alpha)
+    with np.errstate(divide="ignore"):
+        log_alpha = np.log(mgp.alpha)
+    logits = (log_alpha
               - 0.5 * np.sum(np.log(v), axis=1)
               - (0.5 * t) * np.sum(mgp.mu * mu_over_v, axis=1)
               + xs @ mu_over_v.T

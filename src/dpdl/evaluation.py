@@ -49,8 +49,9 @@ def score_dataset(ckpt: Checkpoint, dataset: Dataset, item_ids=None) -> list:
     """Score items (all by default) and return (source_id, label, score) rows.
 
     Each row is exactly ``anomaly_score`` of its item: ``anomaly_scores``
-    gathers SCORE_CHUNK rows of ``dataset.grids`` per pass, so the scored
-    items are never copied.  ValidationError unless each id names an item.
+    gathers ``pass_rows(D, C)`` rows of ``dataset.grids`` per pass, so the
+    scored items are never copied as a whole.  ValidationError unless each
+    id names an item.
     """
     ids = np.arange(len(dataset)) if item_ids is None else np.asarray(item_ids)
     scores = anomaly_scores(mgp_realize(ckpt.params), ckpt.heads, dataset,

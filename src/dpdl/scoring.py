@@ -10,8 +10,9 @@ the normality output.
 Head losses are binary cross-entropy on logits, averaged over a
 (B, H, W, d) batch in one call; their gradients flow only through the
 selected top-K cells, with ties broken toward lower flat indices so
-training is deterministic.  Scoring runs in zero-padded chunks of
-SCORE_CHUNK items, so a score does not depend on the items beside it.
+training is deterministic.  Scoring runs in zero-padded passes whose row
+count ``pass_rows`` takes from the model's D and C, so a score does not
+depend on the items beside it.
 """
 
 from __future__ import annotations
@@ -31,16 +32,33 @@ from .prototypes import MGP
 
 RESIDUAL_SCALES = ("std", "var")
 
-# Rows per scoring pass.  Every pass runs on exactly this many rows, zero-
-# padded, so every matrix product has one shape: BLAS then takes the same
-# kernel and thread split for every pass, and each row rounds the same way
-# whatever the other rows hold.  Products of other shapes can round differently.
-# Four rows keep each (rows, D) x (D, C) product at or under 2**19 multiply-adds
-# up to D * C = 2**17 (D = 4096 with 32 prototypes), and OpenBLAS 0.3.31 ran
-# such products on the calling thread.  With 16 rows it split the D = 2048
-# and 4096 products over two threads, with 8 rows the D = 4096 ones, and the
-# scoring time then varied with whatever else the cores ran.
-SCORE_CHUNK = 4
+# Rows per scoring pass.  Every pass of one call runs on exactly this many
+# rows, zero-padded, so every matrix product has one shape for a model: BLAS
+# then takes the same kernel and thread split for every pass, and each row
+# rounds the same way whatever the other rows hold.  Products of other shapes
+# can round differently.  The largest pass of the (rows, D) x (D, C) product
+# pair x @ mu.T, w @ mu that OpenBLAS 0.3.31 (numpy 2.4.6, 2 cores) ran on
+# the calling thread, and the smallest it split over two threads, at C = 32:
+#
+#     D        calling thread             two threads
+#     128      64 rows (2**18 mult-adds)  128 rows (2**19)
+#     2048      8 rows (2**19)             16 rows (2**20)
+#     4096      4 rows (2**19)              8 rows (2**20)
+#
+# A threaded pass is unstable in time: one run of 128-row passes at D = 128
+# took 8.2 ms per product pair, against about 50 us in others, with the main
+# thread and the worker sharing one CPU.  So a pass holds at most 2**18
+# multiply-adds per product, and at least 4 rows, the floor that binds once
+# D * C > 2**16.  It holds at most 32 rows: at D = 128 and C = 32, passes of
+# 8 to 32 rows scored every item with the bits of a 4-row pass, while the
+# 48- and 64-row products rounded differently and moved one score in 460 by
+# one ulp.  The cap also bounds the zero padding of a short last pass; 64
+# rows scored a 140-item split about 4% faster than 32.
+
+
+def pass_rows(dim: int, n_components: int) -> int:
+    """Rows per scoring pass of a model with D = dim and C = n_components."""
+    return min(32, max(4, 2 ** 18 // (dim * n_components)))
 
 
 @dataclass
@@ -239,16 +257,28 @@ def head_loss_residual(heads: ScoringHeads, mgp: MGP, fms, labels,
                        heads.topk_fraction)
 
 
+def _item(names, i) -> str:
+    return f"at row {i}" if names is None or names[i] is None else repr(names[i])
+
+
 def _rows_of(fms) -> tuple[np.ndarray, list | tuple | None]:
-    """The (N, H, W, d) rows of ``anomaly_scores``' input, and their source ids if known."""
+    """The (N, H, W, d) rows of ``anomaly_scores``' input, and their source ids
+    if known.  A Dataset's rows were checked finite when it was built; other
+    input is checked here, and a non-finite value is a ValidationError
+    naming its item."""
     if isinstance(fms, Dataset):
         return fms.grids, fms.source_ids
     if isinstance(fms, np.ndarray) and fms.ndim == 4:
-        return fms, None
-    grids = [_grid_of(fm) for fm in fms]
-    if len({grid.shape for grid in grids}) > 1:
-        raise ValidationError(f"every grid must have one shape, got {sorted({g.shape for g in grids})}")
-    return np.array(grids), [getattr(fm, "source_id", None) for fm in fms]
+        grids, names = fms, None
+    else:
+        grids = [_grid_of(fm) for fm in fms]
+        if len({grid.shape for grid in grids}) > 1:
+            raise ValidationError(f"every grid must have one shape, got {sorted({g.shape for g in grids})}")
+        grids, names = np.array(grids), [getattr(fm, "source_id", None) for fm in fms]
+    bad = np.flatnonzero(~np.isfinite(grids).all(axis=tuple(range(1, grids.ndim))))
+    if bad.size:
+        raise ValidationError(f"item {_item(names, bad[0])} contains non-finite values")
+    return grids, names
 
 
 def anomaly_scores(mgp: MGP, heads: ScoringHeads, fms, residual_scale: str = "std",
@@ -258,46 +288,45 @@ def anomaly_scores(mgp: MGP, heads: ScoringHeads, fms, residual_scale: str = "st
     anomaly + pooled residual - normality.
 
     Items whose H * W * d is not the mixture's D, or whose d is not the
-    heads' channel count, are a ValidationError naming both shapes.
-    Each term is the pooled logit its head loss trains.  Each pass gathers
-    SCORE_CHUNK rows into a stack padded with zero rows, so an item's score
-    has the same bits whatever else its pass holds.  A non-finite score, or
-    a pass whose arithmetic overflows, divides by zero or goes invalid,
-    raises NumericError naming the item at fault.
+    heads' channel count, are a ValidationError naming both shapes, and so
+    is an item with a non-finite value.  Each term is the pooled logit its
+    head loss trains.  Each pass gathers ``pass_rows(D, C)`` rows into a
+    stack padded with zero rows, so an item's score has the same bits
+    whatever else its pass holds.  A non-finite score, or a pass whose
+    arithmetic overflows, divides by zero or goes invalid, raises
+    NumericError naming the item at fault.
     """
     grids, names = _rows_of(fms)
     if grids.ndim == 4 and (math.prod(grids.shape[1:]) != mgp.dim or grids.shape[3] != heads.channels):
         raise ValidationError(f"items of shape {grids.shape[1:]} do not fit the model, which takes "
                               f"{mgp.dim} values per item in cells of {heads.channels} channels")
     ids = np.arange(len(grids)) if ids is None else checked_ids(ids, len(grids))
-
-    def item(i) -> str:
-        return f"at row {i}" if names is None or names[i] is None else repr(names[i])
-
+    size = pass_rows(mgp.dim, mgp.n_components)
     out = np.empty(len(ids))
     with np.errstate(over="raise", divide="raise", invalid="raise"):
-        for start in range(0, len(ids), SCORE_CHUNK):
-            rows = ids[start:start + SCORE_CHUNK]
+        for start in range(0, len(ids), size):
+            rows = ids[start:start + size]
             try:
-                out[start:start + len(rows)] = _pass_scores(mgp, heads, grids[rows], residual_scale)[:len(rows)]
+                out[start:start + len(rows)] = _pass_scores(mgp, heads, grids[rows], size, residual_scale)[:len(rows)]
             except FloatingPointError:
                 # Rows score independently, so rescoring the pass row by row
                 # finds the row at fault.
                 for i in rows:
                     try:
-                        _pass_scores(mgp, heads, grids[i:i + 1], residual_scale)
+                        _pass_scores(mgp, heads, grids[i:i + 1], size, residual_scale)
                     except FloatingPointError as exc:
-                        raise NumericError(f"anomaly score of item {item(i)} is not finite: {exc}") from None
+                        raise NumericError(f"anomaly score of item {_item(names, i)} is not finite: {exc}") from None
                 raise
     bad = np.flatnonzero(~np.isfinite(out))
     if bad.size:
-        raise NumericError(f"anomaly score of item {item(ids[bad[0]])} is not finite: {out[bad[0]]}")
+        raise NumericError(f"anomaly score of item {_item(names, ids[bad[0]])} is not finite: {out[bad[0]]}")
     return out
 
 
-def _pass_scores(mgp: MGP, heads: ScoringHeads, rows: np.ndarray, residual_scale: str) -> np.ndarray:
-    """Scores (SCORE_CHUNK,) of up to SCORE_CHUNK rows, zero-padded to a full pass."""
-    chunk = np.zeros((SCORE_CHUNK,) + rows.shape[1:])
+def _pass_scores(mgp: MGP, heads: ScoringHeads, rows: np.ndarray, size: int,
+                 residual_scale: str) -> np.ndarray:
+    """Scores (size,) of up to ``size`` rows, zero-padded to a full pass."""
+    chunk = np.zeros((size,) + rows.shape[1:])
     chunk[:len(rows)] = rows
     frac = heads.topk_fraction
     s_a = _topk_pooled(heads.anomaly, chunk, frac)[0]

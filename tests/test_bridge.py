@@ -12,7 +12,7 @@ from dpdl.bridge import (CondGMM, conditional_plan, drift_batch,
                          terminal_plan)
 from dpdl.errors import (DomainError, NumericError, UnsupportedError,
                          ValidationError)
-from dpdl.prototypes import MGP
+from dpdl.prototypes import MGP, MGPParams, mgp_realize
 
 
 def decimal_drift(mgp, x, t, digits=50):
@@ -321,6 +321,50 @@ class TestSimulate:
         assert peak < bound
         traj, peak = traced_peak(simulate_sde_batch, mgp, xs, 2, rng)
         assert peak - traj.states.nbytes < bound
+
+
+class TestUnderflowedWeight:
+    """A mixture whose second weight underflowed to exactly 0: the time-t
+    posterior gives it log weight -inf without a divide warning, and every
+    quantity equals that of the one live component."""
+
+    x = np.array([[0.3, -1.2, 0.7]])
+
+    @pytest.fixture
+    def mgp(self):
+        mgp = mgp_realize(MGPParams(a=np.array([0.0, -800.0]),
+                                    m=np.array([[0.5, -0.2, 1.0], [-1.0, 2.0, 0.1]]),
+                                    s=np.log([[0.6, 0.3, 1.4], [0.8, 0.5, 0.2]]), epsilon=0.7))
+        assert mgp.alpha.tolist() == [1.0, 0.0]
+        return mgp
+
+    def live(self, mgp, t):
+        """Mean and variance of the terminal point given x at time t, for
+        component 0 alone: with tau = eps*(1-t) and v = t*sigma + tau, the
+        mean is (sigma*x + tau*mu)/v and the variance tau*sigma/v."""
+        tau = mgp.epsilon * (1.0 - t)
+        v = t * mgp.sigma[0] + tau
+        return (mgp.sigma[0] * self.x[0] + tau * mgp.mu[0]) / v, tau * mgp.sigma[0] / v
+
+    def test_drift_batch(self, mgp):
+        mean, _ = self.live(mgp, 0.4)
+        assert_close(drift_batch(mgp, self.x, 0.4)[0], (mean - self.x[0]) / (1.0 - 0.4))
+
+    def test_terminal_plan(self, mgp):
+        mean, var = self.live(mgp, 0.4)
+        cond = terminal_plan(mgp, self.x[0], 0.4)
+        assert cond.weights.tolist() == [1.0, 0.0]
+        assert_close(cond.means[0], mean)
+        assert_close(cond.variances[0], var)
+
+    def test_simulate_sde_batch(self, mgp):
+        # One step is the exact draw from time 0: a uniform per row for the
+        # component, which must be 0, then mean + sqrt(var) * z.
+        mean, var = self.live(mgp, 0.0)
+        traj = simulate_sde_batch(mgp, np.tile(self.x, (5, 1)), 1, np.random.default_rng(4))
+        gen = np.random.default_rng(4)
+        gen.random(5)
+        assert_close(traj.states[-1], mean + np.sqrt(var) * gen.standard_normal((5, 3)))
 
 
 class TestQuadratureOracle:

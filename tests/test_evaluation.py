@@ -9,10 +9,13 @@ from dpdl.evaluation import (auc, format_report, nearest_prototype_baseline_auc,
                              Report, run_experiment, score_dataset, write_report)
 from dpdl.features import Dataset, FeatureMap, SplitPlan, make_splits
 from dpdl.prototypes import mgp_realize
-from dpdl.scoring import SCORE_CHUNK, anomaly_score
+from dpdl.scoring import anomaly_score, pass_rows
 from dpdl.training import TrainConfig, train
 
-from test_training import tiny_config, tiny_dataset, tiny_split
+from test_training import D, H, W, tiny_config, tiny_dataset, tiny_split
+
+# Rows per scoring pass of the tiny models trained here.
+PASS = pass_rows(H * W * D, tiny_config().n_prototypes)
 
 
 def pairwise_auc(scores, labels):
@@ -104,16 +107,16 @@ def same_bits(rows, want):
 
 @pytest.fixture(scope="module", params=[1e-3, 0.5], ids=["eps1e-3", "eps0.5"])
 def chunk_case(request):
-    """A trained checkpoint and a dataset of more than two chunks.  At
+    """A trained checkpoint and a dataset of more than two passes.  At
     epsilon 1e-3 nearly every conditional plan is one-hot."""
-    ds = tiny_dataset(n_normal=2 * SCORE_CHUNK + 8, n_anomaly=8)
+    ds = tiny_dataset(n_normal=2 * PASS + 8, n_anomaly=8)
     ckpt = train(ds, tiny_split(ds), tiny_config(epochs=1, epsilon=request.param)).checkpoint
     return ckpt, ds
 
 
 class TestChunkedScoring:
-    @pytest.mark.parametrize("n", [1, SCORE_CHUNK - 1, SCORE_CHUNK, SCORE_CHUNK + 1,
-                                   2 * SCORE_CHUNK + 3])
+    @pytest.mark.parametrize("n", [1, PASS - 1, PASS, PASS + 1, 2 * PASS + 3],
+                             ids=["1", "pass-1", "pass", "pass+1", "2pass+3"])
     def test_rows_equal_anomaly_score_bits(self, chunk_case, n):
         ckpt, ds = chunk_case
         mgp = mgp_realize(ckpt.params)
@@ -127,24 +130,25 @@ class TestChunkedScoring:
         ckpt, ds = chunk_case
         alone = {row[0]: row[2] for row in score_dataset(ckpt, ds)}
         order = np.random.default_rng(7).permutation(len(ds))
-        for ids in (order.tolist(), [5] * (SCORE_CHUNK + 2), order[:9].tolist() * 3):
+        for ids in (order.tolist(), [5] * (PASS + 2), order[:2 * PASS + 1].tolist() * 3):
             rows = score_dataset(ckpt, ds, ids)
             assert same_bits(rows, [alone[ds.items[i].source_id] for i in ids])
 
     def test_memory_does_not_grow_with_item_count(self):
-        # At D = 2048 one chunk of float64 rows is SCORE_CHUNK * 16 KiB; a
-        # stack of all the items would be 20 chunks of it.
+        # At D = 2048 one pass of float64 rows is pass_rows(2048, C) * 16 KiB;
+        # a stack of all the items would be 20 passes of it.
+        rows = pass_rows(8 * 8 * 32, tiny_config().n_prototypes)
         rng = np.random.default_rng(3)
         items = tuple(FeatureMap(rng.normal(0.0, 0.1, size=(8, 8, 32)).astype(np.float32),
-                                 int(i % 10 == 0), 0, f"x{i}") for i in range(20 * SCORE_CHUNK))
+                                 int(i % 10 == 0), 0, f"x{i}") for i in range(20 * rows))
         ds = Dataset(items, name="wide")
         ckpt = train(ds, tiny_split(ds), tiny_config(epochs=1)).checkpoint
-        chunk_bytes = SCORE_CHUNK * 2048 * 8
+        pass_bytes = rows * 2048 * 8
         peaks = {}
-        for n in (2 * SCORE_CHUNK, 20 * SCORE_CHUNK):
+        for n in (2 * rows, 20 * rows):
             _, peaks[n] = traced_peak(score_dataset, ckpt, ds, range(n))
-        assert peaks[20 * SCORE_CHUNK] < 12 * chunk_bytes
-        assert peaks[20 * SCORE_CHUNK] - peaks[2 * SCORE_CHUNK] < chunk_bytes
+        assert peaks[20 * rows] < 12 * pass_bytes
+        assert peaks[20 * rows] - peaks[2 * rows] < pass_bytes
 
     def test_non_finite_score_names_its_item(self):
         # Item 13 is an anomaly with a cell near 2.1: 2.1 * 1e308 overflows.

@@ -7,9 +7,9 @@ from conftest import random_mgp, traced_peak
 from dpdl.errors import NumericError, ValidationError
 from dpdl.features import FeatureMap
 from dpdl.prototypes import MGP
-from dpdl.scoring import (SCORE_CHUNK, LinearHead, ScoringHeads, anomaly_score, anomaly_scores,
+from dpdl.scoring import (LinearHead, ScoringHeads, anomaly_score, anomaly_scores,
                           bce_with_logits, head_loss_anomaly, head_loss_normal,
-                          head_loss_residual, pixel_scores, residual_grid,
+                          head_loss_residual, pass_rows, pixel_scores, residual_grid,
                           topk_mean, write_scores_csv)
 
 
@@ -349,19 +349,45 @@ class TestCompositeScore:
     def test_score_ignores_the_rest_of_its_chunk(self, rng, epsilon, dims):
         # The chunk's other rows are random, zero, or scaled by 1e3; at
         # D = 2048 an unpadded (M, D) product can round row 0 differently for
-        # different M.  D = 8192 takes 32 prototypes: its D x C = 2**18 is
-        # past the size SCORE_CHUNK's comment keeps on the calling thread.
+        # different M.  D = 8192 takes 32 prototypes: its D x C = 2**18 puts
+        # even a pass of the 4-row floor past the 2**18 multiply-adds that
+        # pass_rows keeps on the calling thread.
         h, w, d = dims
-        mgp = random_mgp(rng, 32 if h * w * d > 4096 else 6, h * w * d, epsilon=epsilon)
+        c = 32 if h * w * d > 4096 else 6
+        mgp = random_mgp(rng, c, h * w * d, epsilon=epsilon)
         heads = random_heads(rng, d)
-        grids = rng.normal(size=(SCORE_CHUNK + 5, h, w, d))
+        size = pass_rows(h * w * d, c)
+        grids = rng.normal(size=(size + 5, h, w, d))
         alone = [anomaly_score(mgp, heads, g) for g in grids]
         for others in (grids, np.zeros_like(grids), 1e3 * grids):
-            for pos in (0, SCORE_CHUNK - 1, SCORE_CHUNK, SCORE_CHUNK + 4):
+            for pos in (0, size - 1, size, size + 4):
                 stack = others.copy()
                 stack[pos] = grids[pos]
                 assert anomaly_scores(mgp, heads, stack)[pos] == alone[pos]
         assert anomaly_scores(mgp, heads, grids).tobytes() == np.array(alone).tobytes()
+
+    def test_pass_rows(self):
+        assert pass_rows(128, 32) == 32
+        assert [pass_rows(dim, 32) for dim in (2048, 4096, 8192)] == [4, 4, 4]
+        assert pass_rows(8, 6) == 32
+        for dim in (1, 8, 100, 128, 300, 2048, 4096):
+            for c in (1, 2, 6, 32, 33, 100):
+                rows = pass_rows(dim, c)
+                assert 4 <= rows <= 32
+                assert rows == 4 or rows * dim * c <= 2 ** 18
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_names_its_row(self, rng, bad):
+        # A NaN at row 4 was "points contain non-finite values", naming no
+        # item, and an inf was a NumericError blaming the score.
+        mgp = random_mgp(rng, 2, 8)
+        heads = random_heads(rng, 2)
+        grids = rng.normal(size=(6, 2, 2, 2))
+        grids[4, 1, 0, 1] = bad
+        with pytest.raises(ValidationError, match="item at row 4 contains non-finite values"):
+            anomaly_scores(mgp, heads, grids)
+        with pytest.raises(ValidationError, match="item at row 4 contains non-finite values"):
+            anomaly_scores(mgp, heads, list(grids), ids=[0])
 
     def test_scores_accept_grids_and_feature_maps(self, rng):
         mgp = random_mgp(rng, 2, 8)
