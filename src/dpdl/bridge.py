@@ -64,11 +64,11 @@ class CondGMM:
 
 
 def plan_weights(mgp: MGP, xs: np.ndarray) -> np.ndarray:
-    """Conditional-plan weights (B, C) at a batch of source points (B, D).
+    """Conditional-plan weights (B, C) at source points xs (B, D) checked by ``MGP.points``.
 
     Row b holds the normalized tilted masses at xs[b].
     """
-    lw = mgp.tilted_logits(mgp.points(xs))
+    lw = mgp.tilted_logits(xs)
     weights = np.exp(lw - logsumexp(lw, axis=1, keepdims=True))
     weights /= weights.sum(axis=1, keepdims=True)
     return weights
@@ -111,13 +111,13 @@ def sample_endpoint(cond: CondGMM, rng: np.random.Generator | None = None) -> np
 
 
 def posterior_mode_indices(mgp: MGP, psis: np.ndarray) -> np.ndarray:
-    """Per row of psis (B, D), the index of the component densest there.
+    """Per row of psis (B, D), checked by ``MGP.points``, the index of the component densest there.
 
     Minimizes sum_d (psi - mu)^2 / sigma + log sigma (``MGP.sq_distances``
     plus the log-determinant), so only (B, C) arrays are built.  Mixture
     weights are deliberately ignored; ties resolve to the lowest index.
     """
-    energy = mgp.sq_distances(mgp.points(psis))
+    energy = mgp.sq_distances(psis)
     energy += mgp.sum_log_sigma
     return np.argmin(energy, axis=1)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from pathlib import Path
 
 from .errors import ValidationError
@@ -52,16 +53,21 @@ def coerce_fields(cls, raw: dict[str, str], aliases: dict[str, str] | None = Non
 
     ``aliases`` maps config-file keys to dataclass field names (used for
     keys that are not valid Python identifiers).  Unknown keys raise
-    ValidationError and name the accepted keys.
+    ValidationError and name the accepted keys, and so do two keys that
+    set one field.
     """
     aliases = aliases or {}
     fields = {f.name: f for f in dataclasses.fields(cls)}
     accepted = sorted(set(fields) | set(aliases))
     kwargs: dict = {}
+    keys: dict = {}
     for key, text in raw.items():
         name = aliases.get(key, key)
         if name not in fields:
             raise ValidationError(f"unknown config key {key!r}; accepted keys: {', '.join(accepted)}")
+        if name in keys:
+            raise ValidationError(f"config keys {keys[name]!r} and {key!r} both set {name}")
+        keys[name] = key
         kwargs[name] = _coerce_value(fields[name].type, key, text)
     return kwargs
 
@@ -85,12 +91,18 @@ def _coerce_value(annotation, key: str, text: str):
     raise ValidationError(f"config key {key!r} has unsupported field type {type_name!r}")
 
 
-def check_finite_floats(config) -> None:
-    """Reject NaN and +-inf in every float field of a config dataclass.
+def check_field_values(config) -> None:
+    """Check every field of a config dataclass against its annotation.
 
-    Range checks written with < and <= let NaN through, so this runs first.
+    An int field takes an integer, a float field a finite real number and a
+    str field a str; a bool is none of them.  A config built in Python
+    skips the coercion a file gets, and range checks written with < and <=
+    let NaN through, so this runs first.
     """
+    kinds = {"int": numbers.Integral, "float": numbers.Real, "str": str}
     for field in dataclasses.fields(config):
         value = getattr(config, field.name)
+        if isinstance(value, bool) or not isinstance(value, kinds[field.type]):
+            raise ValidationError(f"{field.name} must be of type {field.type}, got {value!r}")
         if field.type == "float" and not math.isfinite(value):
             raise ValidationError(f"{field.name} must be finite, got {value!r}")

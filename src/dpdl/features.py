@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import atomic_open
-from .configio import check_finite_floats, coerce_fields, parse_kv_file
+from .configio import check_field_values, coerce_fields, parse_kv_file
 from .errors import CorruptionError, FormatError, ProtocolError, ValidationError
 
 MAGIC = b"DPDLFEAT"
@@ -263,7 +263,7 @@ class SynthConfig:
     anomaly_patch_fraction: float = 0.0625
 
     def __post_init__(self):
-        check_finite_floats(self)
+        check_field_values(self)
         for field in ("n_normal_clusters", "n_per_normal_cluster",
                       "n_per_anomaly_class", "height", "width", "channels"):
             if getattr(self, field) < 1:

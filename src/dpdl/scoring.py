@@ -7,6 +7,8 @@ at least one cell), while the normality head scores the mean cell vector.
 The final anomaly score adds the two pooled head outputs and subtracts
 the normality output.
 
+Every public call takes its rows from one gate, ``_rows_of``, which checks
+them once against the call's model; the kernels behind it trust them.
 Head losses are binary cross-entropy on logits, averaged over a
 (B, H, W, d) batch in one call; their gradients flow only through the
 selected top-K cells, with ties broken toward lower flat indices so
@@ -103,38 +105,58 @@ class ScoringHeads:
         return self.anomaly.w.shape[0]
 
 
-def _grid_of(fm) -> np.ndarray:
-    grid = fm.grid if isinstance(fm, FeatureMap) else np.asarray(fm)
-    if grid.ndim != 3:
-        raise ValidationError(f"expected an (H, W, d) grid, got shape {grid.shape}")
-    return grid.astype(np.float64, copy=False)
+def _item(names, i) -> str:
+    return f"at row {i}" if names is None or names[i] is None else repr(names[i])
 
 
-def _stack_of(fms) -> np.ndarray:
-    """A (B, H, W, d) float64 stack; one grid or FeatureMap is the stack of one."""
-    if isinstance(fms, FeatureMap) or np.ndim(fms) == 3:
-        return _grid_of(fms)[None]
-    grids = np.asarray(fms)
-    if grids.ndim != 4:
-        raise ValidationError(f"expected an (H, W, d) grid or a (B, H, W, d) stack, got shape {grids.shape}")
-    return grids.astype(np.float64, copy=False)
+def _is_one(fms) -> bool:
+    """Whether scoring input is one item, a grid or FeatureMap, rather than rows."""
+    return isinstance(fms, FeatureMap) or (isinstance(fms, np.ndarray) and fms.ndim == 3)
 
 
-def _labelled_stack(fms, labels) -> tuple[np.ndarray, np.ndarray]:
-    """``_stack_of(fms)`` and its labels as a (B,) vector; a scalar label goes with one grid."""
-    grids = _stack_of(fms)
-    labels = np.reshape(labels, -1)
-    if labels.shape != grids.shape[:1]:
-        raise ValidationError(f"need one label per grid: {grids.shape[0]} grids, {labels.shape[0]} labels")
-    return grids, labels
+def _rows_of(fms, dim: int | None = None, channels: int | None = None) -> tuple[np.ndarray, list | tuple | None]:
+    """The one input check of this module: the (N, H, W, d) rows of a Dataset,
+    a stack, one grid or FeatureMap (the stack of one), or a sequence of grids
+    or FeatureMaps, and their source ids if known.  Rows whose H * W * d is
+    not ``dim`` or whose d is not ``channels`` are a ValidationError naming
+    both shapes, and so is a non-finite row, by name.  A Dataset was checked
+    finite when it was built; its float32 grids come back uncopied, other
+    input as float64."""
+    if isinstance(fms, Dataset):
+        rows, names = fms.grids, fms.source_ids
+    elif isinstance(fms, np.ndarray) and fms.ndim == 4:
+        rows, names = fms.astype(np.float64, copy=False), None
+    else:
+        items = [fms] if _is_one(fms) else list(fms)
+        grids = [fm.grid if isinstance(fm, FeatureMap) else np.asarray(fm) for fm in items]
+        shapes = sorted({grid.shape for grid in grids})
+        if len(shapes) > 1 or (shapes and len(shapes[0]) != 3):
+            raise ValidationError(f"expected (H, W, d) grids of one shape or an (N, H, W, d) stack, got {shapes}")
+        rows = np.array(grids, dtype=np.float64) if grids else np.empty((0, 0, 0, 0))
+        names = [getattr(fm, "source_id", None) for fm in items]
+    if len(rows) and (dim not in (None, math.prod(rows.shape[1:])) or channels not in (None, rows.shape[3])):
+        takes = " in ".join(t for t in (dim and f"{dim} values per item",
+                                        channels and f"cells of {channels} channels") if t)
+        raise ValidationError(f"items of shape {rows.shape[1:]} do not fit the model, which takes {takes}")
+    if not isinstance(fms, Dataset):
+        bad = np.flatnonzero(~np.isfinite(rows).all(axis=(1, 2, 3)))
+        if bad.size:
+            raise ValidationError(f"item {_item(names, bad[0])} contains non-finite values")
+    return rows, names
+
+
+def _batch_of(fms, dim: int | None = None, channels: int | None = None) -> np.ndarray:
+    """``_rows_of``'s rows as a float64 batch of at least one row."""
+    rows = _rows_of(fms, dim, channels)[0]
+    if not len(rows):
+        raise ValidationError("need at least one item")
+    return rows.astype(np.float64, copy=False)
 
 
 def pixel_scores(head: LinearHead, fm) -> np.ndarray:
-    """Affine score of every cell; accepts a FeatureMap or a raw grid."""
-    grid = _grid_of(fm)
-    if grid.shape[2] != head.w.shape[0]:
-        raise ValidationError(f"grid channels {grid.shape[2]} != head dimension {head.w.shape[0]}")
-    return grid @ head.w + head.b[0]
+    """Affine score of every cell: (H, W) for one item, (N, H, W) for rows of them."""
+    out = _batch_of(fm, channels=head.w.shape[0]) @ head.w + head.b[0]
+    return out[0] if _is_one(fm) else out
 
 
 def _topk_flat_indices(flat: np.ndarray, fraction: float) -> np.ndarray:
@@ -147,10 +169,11 @@ def _topk_flat_indices(flat: np.ndarray, fraction: float) -> np.ndarray:
 
 
 def topk_mean(scores: np.ndarray, fraction: float) -> float:
-    """Mean of the K largest entries, K = max(1, floor(fraction * size))."""
+    """Mean of the K largest entries, K = max(1, floor(fraction * size)).
+    A NaN would sort last and never be pooled, so non-finite scores are refused."""
     flat = np.asarray(scores, dtype=np.float64).reshape(-1)
-    if flat.shape[0] < 1:
-        raise ValidationError("cannot pool an empty score array")
+    if flat.shape[0] < 1 or not np.all(np.isfinite(flat)):
+        raise ValidationError("cannot pool an empty or non-finite score array")
     idx = _topk_flat_indices(flat, fraction)
     return float(np.mean(flat[idx]))
 
@@ -176,7 +199,10 @@ class HeadLoss:
 
 
 def _mean_bce(z: np.ndarray, labels: np.ndarray, inputs: np.ndarray) -> HeadLoss:
-    """Batch-mean BCE of logits z (B,), where z_b = inputs[b] @ w + b."""
+    """Batch-mean BCE of logits z (B,) against one label each, where z_b = inputs[b] @ w + b."""
+    labels = np.reshape(labels, -1)
+    if labels.shape != z.shape:
+        raise ValidationError(f"need one label per grid: {z.shape[0]} grids, {labels.shape[0]} labels")
     loss, dz = bce_with_logits(z, labels)
     return HeadLoss(value=float(np.mean(loss)), grad_w=np.mean(dz[:, None] * inputs, axis=0),
                     grad_b=np.array([np.mean(dz)]))
@@ -208,19 +234,15 @@ def _pooled_bce(head: LinearHead, grids: np.ndarray, labels: np.ndarray, fractio
 
 
 def head_loss_anomaly(heads: ScoringHeads, fms, labels) -> HeadLoss:
-    """Batch-mean BCE of the top-K pooled anomaly-head scores against the labels.
-
-    ``fms`` is a (B, H, W, d) stack with (B,) labels, or one grid or
-    FeatureMap with a scalar label.
-    """
-    grids, labels = _labelled_stack(fms, labels)
-    return _pooled_bce(heads.anomaly, grids, labels, heads.topk_fraction)
+    """Batch-mean BCE of the top-K pooled anomaly-head scores of ``_rows_of(fms)``
+    against one label per row; one grid or FeatureMap takes a scalar label."""
+    return _pooled_bce(heads.anomaly, _batch_of(fms, channels=heads.channels), labels,
+                       heads.topk_fraction)
 
 
 def head_loss_normal(heads: ScoringHeads, fms, labels) -> HeadLoss:
     """Batch-mean BCE of the normality head applied to each item's mean cell vector."""
-    grids, labels = _labelled_stack(fms, labels)
-    z, mean_cells = _mean_cell_pooled(heads.normal, grids)
+    z, mean_cells = _mean_cell_pooled(heads.normal, _batch_of(fms, channels=heads.channels))
     return _mean_bce(z, labels, mean_cells)
 
 
@@ -231,18 +253,22 @@ def residual_grid(mgp: MGP, fm, residual_scale: str = "std") -> np.ndarray:
     prototype is the component with the highest unweighted density there.
     The gap is divided elementwise by that component's standard deviation
     (or variance when ``residual_scale`` is "var") and reshaped onto the
-    item's grid.  ``fm`` is one grid or FeatureMap, or a (B, H, W, d)
-    stack, which gives a stack of residual grids.
+    item's grid.  One grid or FeatureMap gives one residual grid, rows of
+    items a stack of them.
     """
+    out = _residuals(mgp, _batch_of(fm, mgp.dim), residual_scale)
+    return out[0] if _is_one(fm) else out
+
+
+def _residuals(mgp: MGP, grids: np.ndarray, residual_scale: str) -> np.ndarray:
+    """``residual_grid`` of a checked float64 (B, H, W, d) stack."""
     if residual_scale not in RESIDUAL_SCALES:
         raise ValidationError(f"residual_scale must be one of {RESIDUAL_SCALES}, got {residual_scale!r}")
-    grids = _stack_of(fm)
     xs = grids.reshape(grids.shape[0], -1)
     psis = plan_endpoints(mgp, plan_weights(mgp, xs), xs)
     c = posterior_mode_indices(mgp, psis)
     denom = np.sqrt(mgp.sigma[c]) if residual_scale == "std" else mgp.sigma[c]
-    out = ((psis - mgp.mu[c]) / denom).reshape(grids.shape)
-    return out if np.ndim(fm) == 4 else out[0]
+    return ((psis - mgp.mu[c]) / denom).reshape(grids.shape)
 
 
 def head_loss_residual(heads: ScoringHeads, mgp: MGP, fms, labels,
@@ -252,54 +278,23 @@ def head_loss_residual(heads: ScoringHeads, mgp: MGP, fms, labels,
     Gradients are taken with respect to the head only; the residual grids
     are treated as fixed inputs.
     """
-    grids, labels = _labelled_stack(fms, labels)
-    return _pooled_bce(heads.residual, residual_grid(mgp, grids, residual_scale), labels,
+    grids = _batch_of(fms, mgp.dim, heads.channels)
+    return _pooled_bce(heads.residual, _residuals(mgp, grids, residual_scale), labels,
                        heads.topk_fraction)
-
-
-def _item(names, i) -> str:
-    return f"at row {i}" if names is None or names[i] is None else repr(names[i])
-
-
-def _rows_of(fms) -> tuple[np.ndarray, list | tuple | None]:
-    """The (N, H, W, d) rows of ``anomaly_scores``' input, and their source ids
-    if known.  A Dataset's rows were checked finite when it was built; other
-    input is checked here, and a non-finite value is a ValidationError
-    naming its item."""
-    if isinstance(fms, Dataset):
-        return fms.grids, fms.source_ids
-    if isinstance(fms, np.ndarray) and fms.ndim == 4:
-        grids, names = fms, None
-    else:
-        grids = [_grid_of(fm) for fm in fms]
-        if len({grid.shape for grid in grids}) > 1:
-            raise ValidationError(f"every grid must have one shape, got {sorted({g.shape for g in grids})}")
-        grids, names = np.array(grids), [getattr(fm, "source_id", None) for fm in fms]
-    bad = np.flatnonzero(~np.isfinite(grids).all(axis=tuple(range(1, grids.ndim))))
-    if bad.size:
-        raise ValidationError(f"item {_item(names, bad[0])} contains non-finite values")
-    return grids, names
 
 
 def anomaly_scores(mgp: MGP, heads: ScoringHeads, fms, residual_scale: str = "std",
                    ids=None) -> np.ndarray:
-    """Composite scores of rows ``ids`` (all by default) of a Dataset, a
-    (N, H, W, d) stack or a sequence of grids or FeatureMaps: pooled
-    anomaly + pooled residual - normality.
+    """Composite scores of rows ``ids`` (all by default) of ``_rows_of(fms)``:
+    pooled anomaly + pooled residual - normality.
 
-    Items whose H * W * d is not the mixture's D, or whose d is not the
-    heads' channel count, are a ValidationError naming both shapes, and so
-    is an item with a non-finite value.  Each term is the pooled logit its
-    head loss trains.  Each pass gathers ``pass_rows(D, C)`` rows into a
-    stack padded with zero rows, so an item's score has the same bits
-    whatever else its pass holds.  A non-finite score, or a pass whose
-    arithmetic overflows, divides by zero or goes invalid, raises
-    NumericError naming the item at fault.
+    Each term is the pooled logit its head loss trains.  Each pass gathers
+    ``pass_rows(D, C)`` rows into a stack padded with zero rows, so an
+    item's score has the same bits whatever else its pass holds.  A
+    non-finite score, or a pass whose arithmetic overflows, divides by zero
+    or goes invalid, raises NumericError naming the item at fault.
     """
-    grids, names = _rows_of(fms)
-    if grids.ndim == 4 and (math.prod(grids.shape[1:]) != mgp.dim or grids.shape[3] != heads.channels):
-        raise ValidationError(f"items of shape {grids.shape[1:]} do not fit the model, which takes "
-                              f"{mgp.dim} values per item in cells of {heads.channels} channels")
+    grids, names = _rows_of(fms, mgp.dim, heads.channels)
     ids = np.arange(len(grids)) if ids is None else checked_ids(ids, len(grids))
     size = pass_rows(mgp.dim, mgp.n_components)
     out = np.empty(len(ids))
@@ -330,14 +325,17 @@ def _pass_scores(mgp: MGP, heads: ScoringHeads, rows: np.ndarray, size: int,
     chunk[:len(rows)] = rows
     frac = heads.topk_fraction
     s_a = _topk_pooled(heads.anomaly, chunk, frac)[0]
-    s_r = _topk_pooled(heads.residual, residual_grid(mgp, chunk, residual_scale), frac)[0]
+    s_r = _topk_pooled(heads.residual, _residuals(mgp, chunk, residual_scale), frac)[0]
     s_n = _mean_cell_pooled(heads.normal, chunk)[0]
     return s_a + s_r - s_n
 
 
 def anomaly_score(mgp: MGP, heads: ScoringHeads, fm, residual_scale: str = "std") -> float:
-    """Composite image-level score of one item: ``anomaly_scores`` of a sequence of one."""
-    return float(anomaly_scores(mgp, heads, [fm], residual_scale)[0])
+    """Composite image-level score of one grid or FeatureMap: its ``anomaly_scores``."""
+    scores = anomaly_scores(mgp, heads, fm, residual_scale)
+    if scores.shape != (1,):
+        raise ValidationError(f"anomaly_score takes one item, got {len(scores)}")
+    return float(scores[0])
 
 
 def write_scores_csv(path: str | Path, rows) -> None:

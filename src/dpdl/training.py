@@ -35,11 +35,11 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import atomic_open
-from .configio import check_finite_floats, coerce_fields, parse_kv_file, parse_kv_text
+from .configio import check_field_values, coerce_fields, parse_kv_file, parse_kv_text
 from .errors import CorruptionError, FormatError, NumericError, ValidationError
 from .features import LABEL_ANOMALY, Dataset, SplitPlan, checked_ids, cutmix_rectangle
 from .losses import loss_dfl, loss_dpl, unitize
-from .prototypes import MGPParams, mgp_realize, vq_init
+from .prototypes import MGPParams, mgp_new, mgp_realize, vq_init
 from .scoring import (RESIDUAL_SCALES, LinearHead, ScoringHeads, head_loss_anomaly,
                       head_loss_normal, head_loss_residual)
 
@@ -50,7 +50,6 @@ CKPT_VERSION = 3
 # fewer available they are all used every time.
 MAX_ANOMALIES_PER_ITER = 10
 GRAD_CLIP_NORM = 10.0
-VQ_MAX_ITERS = 100
 # AdamW's moment decay rates and the stabilizer of its denominator.
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -84,7 +83,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_finite_floats(self)
+        check_field_values(self)
         for field in ("epochs", "iters_per_epoch", "batch_size", "n_prototypes"):
             if getattr(self, field) < 1:
                 raise ValidationError(f"{field} must be positive, got {getattr(self, field)}")
@@ -261,11 +260,12 @@ def train(dataset: Dataset, split: SplitPlan, config: TrainConfig,
     layout = _layout(config.n_prototypes, math.prod(dataset.dims), dataset.dims[2])
     if resume is None:
         flats = dataset.grids[normal_pool].reshape(len(normal_pool), -1).astype(np.float64)
-        init = vq_init(flats, config.n_prototypes, max_iters=VQ_MAX_ITERS, seed=config.seed)
-        # Uniform weights, unit variances, means at the codebook, zero heads.
+        init = mgp_new(vq_init(flats, config.n_prototypes, seed=config.seed), config.epsilon)
+        # The prototypes start as mgp_new states them; the heads start at zero.
         theta = np.zeros(_size(layout))
         opt = OptimizerState(np.zeros((2, len(theta))), layout)
-        _views(theta, layout)["m"][...] = init.codebook
+        views = _views(theta, layout)
+        views["a"][...], views["m"][...], views["s"][...] = init.a, init.m, init.s
         rng = np.random.default_rng([config.seed, 0x0D9D])
         start_epoch = 0
     else:

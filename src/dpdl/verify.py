@@ -6,8 +6,8 @@ finite differences for the drift, Monte Carlo for terminal moments, and a
 log-domain Sinkhorn solve for the discrete coupling.  ``dpdl verify
 bridge`` runs the whole battery and reports one PASS/FAIL line per check.
 
-The checks are deterministic: instance parameters come from seeded
-generators with fixed defaults.
+The checks are deterministic: instance parameters come from generators
+with fixed seeds, and each check's sizes are constants in its body.
 """
 
 from __future__ import annotations
@@ -47,9 +47,10 @@ def _random_mgp(rng: np.random.Generator, n_components: int, dim: int, epsilon: 
     return MGP(alpha=weights, mu=mu, sigma=sigma, epsilon=epsilon)
 
 
-def check_log_partition(n_instances: int = 50, seed: int = 101) -> CheckResult:
+def check_log_partition() -> CheckResult:
     """Closed-form tilted normalizer against quadrature over mixtures and scales."""
-    rng = np.random.default_rng(seed)
+    n_instances = 50
+    rng = np.random.default_rng(101)
     component_grid = (1, 2, 4)
     epsilon_grid = (0.001, 0.01, 1.0)
     worst = 0.0
@@ -65,9 +66,10 @@ def check_log_partition(n_instances: int = 50, seed: int = 101) -> CheckResult:
                        passed, f"max rel err {worst:.3e} over {n_instances} instances (tol 1e-6)")
 
 
-def check_conditional_identity(n_instances: int = 20, seed: int = 202) -> CheckResult:
+def check_conditional_identity() -> CheckResult:
     """Conditional-plan density equals the grid-normalized tilted density."""
-    rng = np.random.default_rng(seed)
+    n_instances = 20
+    rng = np.random.default_rng(202)
     epsilon_grid = (0.5, 1.0, 2.0)
     worst = 0.0
     for i in range(n_instances):
@@ -92,9 +94,10 @@ def check_conditional_identity(n_instances: int = 20, seed: int = 202) -> CheckR
                        passed, f"max abs err {worst:.3e} over {n_instances} instances (tol 1e-8)")
 
 
-def check_drift(n_instances: int = 10, seed: int = 303) -> CheckResult:
+def check_drift() -> CheckResult:
     """Drift against eps times finite differences of the potential quadrature."""
-    rng = np.random.default_rng(seed)
+    n_instances = 10
+    rng = np.random.default_rng(303)
     epsilon_grid = (0.01, 0.1, 1.0)
     times = (0.0, 0.25, 0.5, 0.9)
     worst = 0.0
@@ -131,17 +134,17 @@ def _terminal_reference(mgp: MGP, x0: np.ndarray):
     return mean, var, m4
 
 
-def check_sde_terminal_moments(n_paths: int = 10_000, n_steps: int = 256,
-                               seed: int = 404) -> CheckResult:
+def check_sde_terminal_moments() -> CheckResult:
     """Simulated terminal mean/variance against conditional-plan moments."""
+    n_paths = 10_000
     mgp = MGP(alpha=np.array([0.35, 0.65]),
               mu=np.array([[-1.4], [1.9]]),
               sigma=np.array([[0.45], [0.85]]),
               epsilon=0.5)
     x0 = np.array([0.3])
     mean, var, m4 = _terminal_reference(mgp, x0)
-    rng = np.random.default_rng(seed)
-    traj = simulate_sde_batch(mgp, np.tile(x0, (n_paths, 1)), n_steps, rng)
+    rng = np.random.default_rng(404)
+    traj = simulate_sde_batch(mgp, np.tile(x0, (n_paths, 1)), 256, rng)
     terminal = traj.states[-1, :, 0]
     se_mean = np.sqrt(var / n_paths)
     se_var = np.sqrt(max(m4 - var ** 2, 0.0) / n_paths)
@@ -154,7 +157,7 @@ def check_sde_terminal_moments(n_paths: int = 10_000, n_steps: int = 256,
         f"mean dev {dev_mean:.4f} (3se {3 * se_mean:.4f}), var dev {dev_var:.4f} (3se {3 * se_var:.4f})")
 
 
-def check_sinkhorn_consistency(n_targets: int = 2000, seed: int = 505) -> CheckResult:
+def check_sinkhorn_consistency() -> CheckResult:
     """Sinkhorn row conditionals against the model plan on a sampled cloud.
 
     Targets are drawn from the mixture of the per-source conditional plans,
@@ -162,7 +165,8 @@ def check_sinkhorn_consistency(n_targets: int = 2000, seed: int = 505) -> CheckR
     to pi(y_j | x_i) / mean_i pi(y_j | x_i), factor exactly like the
     entropic coupling and are its large-sample limit.
     """
-    rng = np.random.default_rng(seed)
+    n_targets = 2000
+    rng = np.random.default_rng(505)
     epsilon = 0.5
     mgp = MGP(alpha=np.array([0.4, 0.6]),
               mu=np.array([[-1.0], [1.2]]),
@@ -207,11 +211,11 @@ def check_time_degeneracy() -> CheckResult:
                        passed, f"max |(1-t) g - (mu - x)| / |mu - x| = {worst:.2e}; t=1 rejected: {rejected}")
 
 
-def check_small_epsilon_terminal(seed: int = 606) -> CheckResult:
+def check_small_epsilon_terminal() -> CheckResult:
     """Vanishing diffusion with one tight component pins the endpoint to its mean."""
     mgp = MGP(alpha=np.array([1.0]), mu=np.array([[-0.4]]),
               sigma=np.array([[1e-12]]), epsilon=1e-4)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(606)
     traj = simulate_sde_batch(mgp, np.full((64, 1), 0.7), 32, rng)
     dev = float(np.max(np.abs(traj.states[-1, :, 0] + 0.4)))
     passed = dev < 1e-3

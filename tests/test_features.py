@@ -298,6 +298,17 @@ class TestSynthConfig:
         with pytest.raises(ValidationError, match=field):
             dataclasses.replace(SynthConfig(), **{field: value})
 
+    @pytest.mark.parametrize("field,value", [
+        ("noise", "1"), ("noise", True), ("height", 1.5), ("channels", 8.0), ("height", True),
+    ])
+    def test_rejects_value_of_another_type(self, field, value):
+        # noise="1" was a bare TypeError, and height=True a TypeError inside synth_generate.
+        with pytest.raises(ValidationError, match=f"{field} must be"):
+            SynthConfig(**{field: value})
+
+    def test_numpy_integers_are_accepted(self):
+        assert SynthConfig(height=np.int32(3), noise=2).height == 3
+
 
 class TestSynthGenerate:
     def test_deterministic(self):

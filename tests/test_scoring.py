@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_mgp, traced_peak
 from dpdl.errors import NumericError, ValidationError
-from dpdl.features import FeatureMap
+from dpdl.features import Dataset, FeatureMap
 from dpdl.prototypes import MGP
 from dpdl.scoring import (LinearHead, ScoringHeads, anomaly_score, anomaly_scores,
                           bce_with_logits, head_loss_anomaly, head_loss_normal,
@@ -69,6 +69,12 @@ class TestTopkMean:
             topk_mean(np.zeros(3), 0.0)
         with pytest.raises(ValidationError):
             topk_mean(np.zeros(3), 1.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_are_refused(self, bad):
+        # A NaN sorts last, so [1, nan, 2] at 0.5 pooled 2.0.
+        with pytest.raises(ValidationError, match="non-finite"):
+            topk_mean(np.array([1.0, bad, 2.0]), 0.5)
 
 
 class TestBCE:
@@ -438,6 +444,73 @@ class TestCompositeScore:
         got = head_loss_residual(heads, mgp, grid, 1)
         assert got.value == want.value
         assert np.array_equal(got.grad_w, want.grad_w)
+
+
+# Every public scoring entry, called on a batch; heads take d = 2, the
+# mixture D = 8.
+SCORING_ENTRIES = {
+    "pixel_scores": lambda mgp, heads, x: pixel_scores(heads.anomaly, x),
+    "head_loss_anomaly": lambda mgp, heads, x: head_loss_anomaly(heads, x, np.arange(len(x)) % 2),
+    "head_loss_normal": lambda mgp, heads, x: head_loss_normal(heads, x, np.arange(len(x)) % 2),
+    "head_loss_residual": lambda mgp, heads, x: head_loss_residual(heads, mgp, x, np.arange(len(x)) % 2),
+    "residual_grid": lambda mgp, heads, x: residual_grid(mgp, x),
+    "anomaly_scores": lambda mgp, heads, x: anomaly_scores(mgp, heads, x),
+    "anomaly_score": lambda mgp, heads, x: anomaly_score(mgp, heads, x[2]),
+}
+
+
+class TestInputGate:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("entry", sorted(SCORING_ENTRIES))
+    def test_non_finite_row_is_named(self, rng, entry, bad):
+        # The head losses pooled past a NaN or returned nan, an inf warned
+        # "invalid value encountered in subtract", and pixel_scores passed both on.
+        grids = rng.normal(size=(3, 2, 2, 2))
+        grids[2, 1, 0, 1] = bad
+        row = 0 if entry == "anomaly_score" else 2
+        with pytest.raises(ValidationError, match=f"item at row {row} contains non-finite values"):
+            SCORING_ENTRIES[entry](random_mgp(rng, 2, 8), random_heads(rng, 2), grids)
+
+    @pytest.mark.parametrize("shape", [(2, 2, 3), (2, 1, 2)], ids=["channels", "dim"])
+    @pytest.mark.parametrize("entry", sorted(SCORING_ENTRIES))
+    def test_items_that_do_not_fit_the_model(self, rng, entry, shape):
+        # Cells of d = 3 were numpy's "matmul: Input operand 1 has a mismatch
+        # in its core dimension 0" in the head losses and pixel_scores.
+        # Items of 4 values fit the heads' d = 2 but not the mixture's D = 8,
+        # so pixel_scores and the two heads that read no mixture take them.
+        mgp, heads = random_mgp(rng, 2, 8), random_heads(rng, 2)
+        grids = rng.normal(size=(3,) + shape)
+        if shape == (2, 1, 2) and entry in ("pixel_scores", "head_loss_anomaly", "head_loss_normal"):
+            SCORING_ENTRIES[entry](mgp, heads, grids)
+            return
+        with pytest.raises(ValidationError, match=r"items of shape .* do not fit the model"):
+            SCORING_ENTRIES[entry](mgp, heads, grids)
+
+    def test_one_item_keeps_its_shape_and_rows_keep_theirs(self, rng):
+        mgp = random_mgp(rng, 2, 8)
+        heads = random_heads(rng, 2)
+        grids = rng.normal(size=(3, 2, 2, 2))
+        fm = FeatureMap(grids[1].astype(np.float32), 0, 0, "x")
+        assert pixel_scores(heads.anomaly, grids).shape == (3, 2, 2)
+        assert pixel_scores(heads.anomaly, fm).shape == (2, 2)
+        assert residual_grid(mgp, list(grids)).shape == (3, 2, 2, 2)
+        assert residual_grid(mgp, fm).tobytes() == residual_grid(mgp, fm.grid.astype(np.float64)).tobytes()
+        with pytest.raises(ValidationError, match="takes one item"):
+            anomaly_score(mgp, heads, grids)
+        with pytest.raises(ValidationError, match="at least one item"):
+            head_loss_normal(heads, [], [])
+        with pytest.raises(ValidationError, match=r"\(N, H, W, d\) stack"):
+            residual_grid(mgp, grids.reshape(3, 8))
+
+    def test_scoring_a_dataset_checks_no_points(self, rng, monkeypatch):
+        # plan_weights and posterior_mode_indices each ran MGP.points over
+        # every pass; the rows were checked once by then.
+        calls = []
+        real_points = MGP.points
+        monkeypatch.setattr(MGP, "points", lambda self, xs: calls.append(1) or real_points(self, xs))
+        ds = Dataset(tuple(FeatureMap(rng.normal(size=(2, 2, 2)), 0, 0, f"f{i}") for i in range(40)))
+        scores = anomaly_scores(random_mgp(rng, 2, 8), random_heads(rng, 2), ds)
+        assert scores.shape == (40,) and calls == []
 
 
 class TestHeadsContainer:

@@ -171,6 +171,21 @@ class TestTrainConfig:
         with pytest.raises(ValidationError, match=field):
             dataclasses.replace(TrainConfig(), **{field: value})
 
+    @pytest.mark.parametrize("field,value", [
+        ("learning_rate", "x"), ("learning_rate", True), ("epochs", 1.5), ("batch_size", 4.0),
+        ("epochs", True), ("seed", np.bool_(False)), ("residual_scale", 1),
+    ])
+    def test_rejects_value_of_another_type(self, field, value):
+        # A config built in Python skips a file's coercion: "x" was a bare
+        # TypeError, epochs=1.5 and batch_size=4.0 failed inside train, and
+        # epochs=True trained one epoch.
+        with pytest.raises(ValidationError, match=f"{field} must be"):
+            TrainConfig(**{field: value})
+
+    def test_numpy_integers_and_ints_for_floats_are_accepted(self):
+        cfg = TrainConfig(epochs=np.int64(3), batch_size=np.uint8(4), kappa=2, learning_rate=np.float64(0.5))
+        assert cfg.epochs == 3 and cfg.batch_size == 4 and cfg.kappa == 2.0
+
 
 class TestConfigParsing:
     def test_kv_text_basics(self):
@@ -203,6 +218,13 @@ class TestConfigParsing:
         path = tmp_path / "t.cfg"
         path.write_text("lambda_ = 0.5\n")
         assert parse_train_config(path).lambda_ == 0.5
+
+    def test_two_keys_for_one_field_are_rejected(self, tmp_path):
+        # The later line used to win without a word.
+        path = tmp_path / "t.cfg"
+        path.write_text("lambda = 0.5\nlambda_ = 0.1\n")
+        with pytest.raises(ValidationError, match="'lambda' and 'lambda_' both set lambda_"):
+            parse_train_config(path)
 
     def test_bundled_benchmark_config_parses(self):
         from importlib import resources
@@ -300,6 +322,28 @@ class TestTrainLoop:
         r2 = train(ds, split, tiny_config())
         assert checkpoints_equal(r1.checkpoint, r2.checkpoint)
         assert r1.log == r2.log
+
+    def test_initial_prototypes_come_from_mgp_new(self, monkeypatch):
+        # train writes mgp_new's a, m and s into θ, so a change to the
+        # initial rule there reaches training.
+        real_new, real_realize = training.mgp_new, training.mgp_realize
+        sigmas = []
+
+        def doubled_variances(init, epsilon):
+            params = real_new(init, epsilon)
+            params.s[...] = np.log(2.0)
+            return params
+
+        def watch(params):
+            mgp = real_realize(params)
+            sigmas.append(mgp.sigma.copy())
+            return mgp
+
+        monkeypatch.setattr(training, "mgp_new", doubled_variances)
+        monkeypatch.setattr(training, "mgp_realize", watch)
+        ds = tiny_dataset()
+        train(ds, tiny_split(ds), tiny_config(epochs=1))
+        assert np.allclose(sigmas[0], 2.0, rtol=1e-15, atol=0.0)
 
     def test_seed_changes_the_run(self):
         ds = tiny_dataset()
