@@ -39,8 +39,11 @@ def _as_point(mgp: MGP, x: np.ndarray) -> np.ndarray:
 
 def log_partition(mgp: MGP, x: np.ndarray) -> float:
     """log of the tilted-mixture normalizer at source point x: the
-    logsumexp of ``MGP.tilted_logits`` there."""
-    return float(logsumexp(mgp.tilted_logits(_as_point(mgp, x)[None])[0]))
+    logsumexp of ``MGP.tilted_logits`` there.  A weight that underflowed to
+    0 has log weight -inf, the right value, so its divide warning is
+    silenced."""
+    with np.errstate(divide="ignore"):
+        return float(logsumexp(mgp.tilted_logits(_as_point(mgp, x)[None])[0]))
 
 
 @dataclass(frozen=True)
@@ -54,10 +57,8 @@ class CondGMM:
 
     def log_density(self, points: np.ndarray) -> np.ndarray:
         """Log density (N,) at a batch of points (N, D); see ``mgp_log_density``.
-        ε plays no part in a density.  A weight that underflowed to 0 has
-        log weight -inf, the right value, so its divide warning is silenced."""
-        with np.errstate(divide="ignore"):
-            return mgp_log_density(MGP(self.weights, self.means, self.variances, epsilon=1.0), points)
+        ε plays no part in a density."""
+        return mgp_log_density(MGP(self.weights, self.means, self.variances, epsilon=1.0), points)
 
     def mean(self) -> np.ndarray:
         return self.weights @ self.means
@@ -89,10 +90,13 @@ def conditional_plan(mgp: MGP, x: np.ndarray) -> CondGMM:
 
     The weights are the normalized tilted masses (``plan_weights``);
     component c shifts its mean to mu_c + sigma_c * x / eps and keeps
-    variance sigma_c.
+    variance sigma_c.  A weight that underflowed to 0 has log weight -inf
+    and plan weight 0, the right values, so its divide warning is silenced.
     """
     x = _as_point(mgp, x)
-    return CondGMM(weights=plan_weights(mgp, x[None, :])[0],
+    with np.errstate(divide="ignore"):
+        weights = plan_weights(mgp, x[None, :])[0]
+    return CondGMM(weights=weights,
                    means=mgp.mu + mgp.sigma * (x / mgp.epsilon)[None, :],
                    variances=mgp.sigma.copy(), x=x)
 

@@ -18,7 +18,7 @@ import numpy as np
 from .atomic import atomic_open
 from .errors import UndefinedMetricError, ValidationError
 from .features import Dataset, checked_ids, make_splits
-from .prototypes import _nearest_codewords, mgp_realize, vq_init
+from .prototypes import _nearest_codewords, _row_norms, mgp_realize, vq_init
 from .scoring import anomaly_scores
 from .training import Checkpoint, TrainConfig, TrainResult, train
 
@@ -108,14 +108,14 @@ def nearest_prototype_baseline_auc(dataset: Dataset, split, n_codewords: int, se
     """Distance-to-codebook baseline on the same split.
 
     Fits the vector quantizer on the training normals and scores each test
-    item by its distance to the nearest codeword.
+    item by its distance to the nearest codeword.  Both item sets are
+    promoted and their row norms taken one row block at a time, and the
+    training normals are released before the test items are promoted.
     """
     train_ids, test_ids = (checked_ids(ids, len(dataset)) for ids in (split.train_normal_ids, split.test_ids))
-    flats = dataset.grids.reshape(len(dataset), -1)
-    train_normals = flats[train_ids].astype(np.float64)
-    codebook = vq_init(train_normals, min(n_codewords, len(train_normals)), seed=seed).codebook
-    x = flats[test_ids].astype(np.float64)
-    d2 = _nearest_codewords(x, np.sum(x * x, axis=1), codebook)[1]
+    codebook = vq_init(dataset.flats(train_ids), min(n_codewords, len(train_ids)), seed=seed).codebook
+    x = dataset.flats(test_ids)
+    d2 = _nearest_codewords(x, _row_norms(x), codebook)[1]
     return auc(np.sqrt(d2), dataset.labels[test_ids])
 
 

@@ -20,6 +20,11 @@ Binary container layout (all little-endian):
 
 ``_record_dtype`` spells one item as a numpy structured dtype; the writer
 and the reader both go through it.
+
+Work over a dataset's items goes one row block at a time
+(``prototypes._row_blocks``: at most 2^17 values per block): the writer
+fills and writes one block of records, and ``Dataset.flats`` promotes one
+block of grids to float64, so neither copies the dataset as a whole.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ import numpy as np
 from .atomic import atomic_open
 from .configio import check_field_values, coerce_fields, parse_kv_file
 from .errors import CorruptionError, FormatError, ProtocolError, ValidationError
+from .prototypes import _row_blocks
 
 MAGIC = b"DPDLFEAT"
 FORMAT_VERSION = 1
@@ -165,6 +171,15 @@ class Dataset:
     def dims(self) -> tuple[int, int, int]:
         return self.grids.shape[1:]  # type: ignore[return-value]
 
+    def flats(self, ids: np.ndarray) -> np.ndarray:
+        """The grids of the items ``ids`` (an int vector of checked ids) as one
+        float64 (n, H*W*d) array in row-major order, promoted one row block
+        at a time, so no float32 copy of them is made."""
+        out = np.empty((len(ids), self.grids[0].size))
+        for rows in _row_blocks(*out.shape):
+            out[rows] = self.grids[ids[rows]].reshape(-1, out.shape[1])
+        return out
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
@@ -191,12 +206,17 @@ def canonical_source_id(index: int) -> str:
 
 
 def write_feature_file(path: str | Path, dataset: Dataset) -> None:
+    """Write ``dataset`` as a feature file, one row block of records at a time."""
     h, w, d = dataset.dims
-    records = np.zeros(len(dataset), dtype=_record_dtype(h, w, d))
-    records["class_id"], records["label"], records["grid"] = dataset.class_ids, dataset.labels, dataset.grids
+    dtype = _record_dtype(h, w, d)
     with atomic_open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, len(dataset), h, w, d))
-        fh.write(records.view(np.uint8))
+        for rows in _row_blocks(len(dataset), h * w * d):
+            records = np.zeros(rows.stop - rows.start, dtype=dtype)
+            records["class_id"], records["label"] = dataset.class_ids[rows], dataset.labels[rows]
+            records["grid"] = dataset.grids[rows]
+            fh.write(records.view(np.uint8))
+            del records  # so the next block is not allocated beside this one
 
 
 def read_feature_file(path: str | Path) -> Dataset:

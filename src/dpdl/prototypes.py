@@ -5,11 +5,19 @@ Training works on unconstrained parameters (logit weights, means, log
 variances); ``mgp_realize`` maps them onto the simplex / positive cone.
 Initial means come from a small Lloyd vector quantizer seeded the
 k-means++ way.
+
+Work over the rows of a data-sized array goes one row block at a time
+(``_row_blocks``: at most ``_ROW_BLOCK`` values, 1 MiB of float64, per
+block), so a fit holds its float64 (N, D) input and, beyond it, one block
+plus arrays of shape (N, C), (C, D) and one cluster's rows; it makes no
+(N, D) temporary.
 """
 
 from __future__ import annotations
 
 import functools
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +29,32 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 # k-means++ seeding: squared distances below this fraction of
 # |x|^2 + |c|^2 are rounding noise of the expanded form and count as zero.
 _SEED_ROUNDOFF = 1e-12
+
+# Values per row block of the passes over data-sized arrays; not a knob.
+_ROW_BLOCK = 2 ** 17
+
+
+def _row_blocks(n_rows: int, row_size: int):
+    """Slices covering range(n_rows) in order, each of at most ``_ROW_BLOCK``
+    values' worth of rows of ``row_size`` values (one row at least)."""
+    step = max(1, _ROW_BLOCK // max(row_size, 1))
+    return (slice(start, min(start + step, n_rows)) for start in range(0, n_rows, step))
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """sum(x * x, axis=1) of a float64 (N, D) array, one row block at a time;
+    each row is summed alone, so the bits are those of the whole-array sum.
+    ValidationError if a norm is not finite: a value of its row is not, or
+    the square of one overflows."""
+    out = np.empty(x.shape[0])
+    with np.errstate(over="ignore"):
+        for rows in _row_blocks(*x.shape):
+            block = x[rows]
+            out[rows] = np.sum(block * block, axis=1)
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        raise ValidationError(f"features row {bad[0]} has a non-finite value or squared norm")
+    return out
 
 
 def logsumexp(a, axis=None, keepdims: bool = False):
@@ -199,10 +233,12 @@ def mgp_log_density(mgp: MGP, points: np.ndarray) -> np.ndarray:
     """Mixture log density (N,) at a batch of points (N, D).
 
     Built on ``MGP.sq_distances`` clipped at zero, so nothing of shape
-    (N, C, D) is formed.
+    (N, C, D) is formed.  A weight that underflowed to 0 has log weight
+    -inf, the right value, so its divide warning is silenced.
     """
     sq = np.maximum(mgp.sq_distances(mgp.points(points)), 0.0)
-    return logsumexp(_log_components(mgp, sq), axis=1)
+    with np.errstate(divide="ignore"):
+        return logsumexp(_log_components(mgp, sq), axis=1)
 
 
 @dataclass(frozen=True)
@@ -224,19 +260,22 @@ def vq_init(features: np.ndarray, n_codewords: int, max_iters: int = 100,
     """Quantize feature vectors with k-means++ seeding and Lloyd updates.
 
     The seed and every Lloyd pass find distances with one kernel, from row
-    norms computed once per call.  Empty clusters are reseeded to the point
-    farthest from its codeword.  Stops early once assignments stop changing.
+    norms computed once per call, one row block at a time.  Empty clusters
+    are reseeded to the point farthest from its codeword.  Stops early once
+    assignments stop changing.  ValidationError names the argument at fault:
+    a count or seed that is not an integer in range, or a feature row with
+    a non-finite value.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 1:
         raise ValidationError(f"features must be a nonempty (N, D) array, got shape {x.shape}")
     n, _ = x.shape
-    if not 1 <= n_codewords <= n:
-        raise ValidationError(f"need 1 <= n_codewords <= {n}, got {n_codewords}")
-    if max_iters < 1:
-        raise ValidationError(f"max_iters must be positive, got {max_iters}")
+    for name, value, low, high in (("n_codewords", n_codewords, 1, n), ("max_iters", max_iters, 1, math.inf),
+                                   ("seed", seed, 0, math.inf)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not low <= value <= high:
+            raise ValidationError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
     rng = np.random.default_rng(seed)
-    x_sq = np.sum(x * x, axis=1)
+    x_sq = _row_norms(x)
     codebook = _kmeans_pp_seed(x, x_sq, n_codewords, rng)
     assignment = np.zeros(n, dtype=np.int64)
     errors: list[float] = []

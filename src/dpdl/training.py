@@ -259,8 +259,9 @@ def train(dataset: Dataset, split: SplitPlan, config: TrainConfig,
 
     layout = _layout(config.n_prototypes, math.prod(dataset.dims), dataset.dims[2])
     if resume is None:
-        flats = dataset.grids[normal_pool].reshape(len(normal_pool), -1).astype(np.float64)
-        init = mgp_new(vq_init(flats, config.n_prototypes, seed=config.seed), config.epsilon)
+        # The promoted pool is the largest array a fit holds; nothing keeps it past vq_init.
+        init = mgp_new(vq_init(dataset.flats(normal_pool), config.n_prototypes, seed=config.seed),
+                       config.epsilon)
         # The prototypes start as mgp_new states them; the heads start at zero.
         theta = np.zeros(_size(layout))
         opt = OptimizerState(np.zeros((2, len(theta))), layout)

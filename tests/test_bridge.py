@@ -12,7 +12,7 @@ from dpdl.bridge import (CondGMM, conditional_plan, drift_batch,
                          terminal_plan)
 from dpdl.errors import (DomainError, NumericError, UnsupportedError,
                          ValidationError)
-from dpdl.prototypes import MGP, MGPParams, mgp_realize
+from dpdl.prototypes import MGP, MGPParams, mgp_log_density, mgp_realize
 
 
 def decimal_drift(mgp, x, t, digits=50):
@@ -365,6 +365,27 @@ class TestUnderflowedWeight:
         gen = np.random.default_rng(4)
         gen.random(5)
         assert_close(traj.states[-1], mean + np.sqrt(var) * gen.standard_normal((5, 3)))
+
+    # These three said "divide by zero encountered in log" on the way.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_conditional_plan(self, mgp):
+        cond = conditional_plan(mgp, self.x[0])
+        assert cond.weights.tolist() == [1.0, 0.0]
+        assert_close(cond.means, mgp.mu + mgp.sigma * self.x[0] / mgp.epsilon)
+        assert np.array_equal(cond.variances, mgp.sigma)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_log_partition(self, mgp):
+        # log E exp(x.y/eps) under N(mu_0, diag sigma_0).
+        x, e = self.x[0], mgp.epsilon
+        assert_close(log_partition(mgp, x), x @ mgp.mu[0] / e + x @ (mgp.sigma[0] * x) / (2.0 * e * e))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_mgp_log_density(self, mgp):
+        ys = np.array([[0.3, -1.2, 0.7], [0.5, -0.2, 1.0], [-1.0, 2.0, 0.1]])
+        want = -0.5 * (3 * np.log(2.0 * np.pi) + np.sum(np.log(mgp.sigma[0]))
+                       + np.sum((ys - mgp.mu[0]) ** 2 / mgp.sigma[0], axis=1))
+        assert_close(mgp_log_density(mgp, ys), want)
 
 
 class TestQuadratureOracle:

@@ -4,12 +4,14 @@ import struct
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from dpdl.errors import (CorruptionError, FormatError, ProtocolError,
                          ValidationError)
 from dpdl.features import (LABEL_ANOMALY, LABEL_NORMAL, PSEUDO_ANOMALY_CLASS_ID,
                            Dataset, FeatureMap, SynthConfig, canonical_source_id,
                            cutmix_pseudo_anomaly, cutmix_rectangle, make_splits, read_feature_file,
                            synth_generate, write_feature_file)
+from dpdl.prototypes import _ROW_BLOCK
 
 HEADER_BYTES = struct.calcsize("<8sIQIII")
 RECORD_HEAD_BYTES = struct.calcsize("<IB3s")
@@ -123,6 +125,50 @@ class TestDataset:
         with pytest.raises(file_error) as from_file:
             read_feature_file(path)
         assert from_items.type is ValidationError and from_file.type is file_error
+
+
+def block_dataset(n, h=4, w=4, d=64):
+    """n items of 4x4x64 = 1024 values, so a row block holds _ROW_BLOCK // 1024 of them."""
+    rng = np.random.default_rng(n)
+    grids = rng.normal(size=(n, h, w, d)).astype(np.float32)
+    labels = (np.arange(n) % 3 == 2).astype(np.uint8)
+    class_ids = labels * np.uint32(7)
+    return Dataset.__new__(Dataset)._hold(grids, labels, class_ids, None, "blocks", None)
+
+
+ROWS_PER_BLOCK = _ROW_BLOCK // 1024
+BLOCK_EDGES = [1, ROWS_PER_BLOCK - 1, ROWS_PER_BLOCK, ROWS_PER_BLOCK + 1]
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("n", BLOCK_EDGES)
+    def test_flats_have_the_bits_of_one_promotion(self, n):
+        ds = block_dataset(n)
+        ids = np.random.default_rng(0).permutation(n)
+        got = ds.flats(ids)
+        want = ds.grids[ids].reshape(n, -1).astype(np.float64)
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert ds.flats(ids[:0]).shape == (0, 1024)
+
+    @pytest.mark.parametrize("n", BLOCK_EDGES)
+    def test_file_bytes_equal_one_record_array(self, tmp_path, n):
+        ds = block_dataset(n)
+        records = np.zeros(n, dtype=[("class_id", "<u4"), ("label", "u1"), ("pad", "V3"),
+                                     ("grid", "<f4", (4, 4, 64))])
+        records["class_id"], records["label"], records["grid"] = ds.class_ids, ds.labels, ds.grids
+        path = tmp_path / "b.feat"
+        write_feature_file(path, ds)
+        assert path.read_bytes() == struct.pack("<8sIQIII", b"DPDLFEAT", 1, n, 4, 4, 64) + records.tobytes()
+
+    def test_writer_memory_does_not_grow_with_the_item_count(self, tmp_path):
+        # The whole-file record array of the 10x dataset is 5 MB.
+        peaks = {}
+        for n in (4 * ROWS_PER_BLOCK, 40 * ROWS_PER_BLOCK):
+            ds = block_dataset(n)
+            _, peaks[n] = traced_peak(write_feature_file, tmp_path / f"{n}.feat", ds)
+        small, large = peaks.values()
+        assert large <= small + 4096
+        assert small < 2 * 4 * _ROW_BLOCK
 
 
 class TestFeatureFile:

@@ -5,8 +5,9 @@ from scipy.stats import norm
 
 from conftest import assert_close, random_params, traced_peak
 from dpdl.errors import ValidationError
-from dpdl.prototypes import (MGP, MGPParams, _kmeans_pp_seed, _nearest_codewords,
-                             logsumexp, mgp_log_density, mgp_new, mgp_realize, vq_init)
+from dpdl.prototypes import (_ROW_BLOCK, MGP, MGPParams, _kmeans_pp_seed, _nearest_codewords,
+                             _row_blocks, _row_norms, logsumexp, mgp_log_density, mgp_new,
+                             mgp_realize, vq_init)
 
 
 def same_bits(x, y) -> bool:
@@ -366,3 +367,60 @@ class TestVQ:
             vq_init(np.zeros((0, 2)), 1)
         with pytest.raises(ValidationError):
             vq_init(x, 2, max_iters=0)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"seed": -1}, "seed"), ({"seed": 1.5}, "seed"), ({"n_codewords": 2.5}, "n_codewords"),
+        ({"n_codewords": True}, "n_codewords"), ({"max_iters": 2.5}, "max_iters")])
+    def test_arguments_that_are_not_integers_in_range_are_named(self, rng, kwargs, name):
+        # Each escaped as a numpy or Python ValueError or TypeError.
+        with pytest.raises(ValidationError, match=name):
+            vq_init(rng.normal(size=(4, 2)), **{"n_codewords": 2, **kwargs})
+
+    def test_numpy_integer_arguments_are_accepted(self, rng):
+        x = rng.normal(size=(9, 2))
+        want = vq_init(x, 3, max_iters=5, seed=4)
+        got = vq_init(x, np.int64(3), max_iters=np.int32(5), seed=np.uint8(4))
+        assert same_bits(got.codebook, want.codebook)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e200])
+    def test_non_finite_feature_is_refused(self, rng, value):
+        # A NaN escaped as "Probabilities contain NaN" from the seeding draw;
+        # 1e200 is finite but its square overflows the row norm.
+        x = rng.normal(size=(6, 3))
+        x[4, 1] = value
+        with pytest.raises(ValidationError, match="features row 4"):
+            vq_init(x, 2)
+
+    def test_working_memory_is_a_row_block_and_cluster_sized(self):
+        # 16 tight blobs of 128 points in D = 1024: the input is 16.8 MB, and
+        # a whole (N, D) square of it would alone exceed this bound.
+        # Beyond its input a fit holds one row block of the norm pass, the
+        # rows of one cluster while a Lloyd update averages them, and
+        # arrays of shape (N,), (N, C) and (C, D).
+        n, d, c = 2048, 1024, 16
+        rng = np.random.default_rng(8)
+        x = rng.normal(0.0, 100.0, (c, d))[np.arange(n) % c] + rng.normal(0.0, 0.1, (n, d))
+        init, peak = traced_peak(vq_init, x, c, seed=0)
+        assert np.bincount(init.assignment).tolist() == [n // c] * c
+        bound = 8 * (_ROW_BLOCK + (n // c) * d + 4 * (n * c + c * d + n))
+        assert peak <= bound < x.nbytes
+
+
+ROWS_PER_BLOCK = _ROW_BLOCK // 1024
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("n", [1, ROWS_PER_BLOCK - 1, ROWS_PER_BLOCK, ROWS_PER_BLOCK + 1, 5 * ROWS_PER_BLOCK])
+    def test_blocks_cover_the_rows_in_order(self, n):
+        blocks = list(_row_blocks(n, 1024))
+        assert [r for b in blocks for r in range(n)[b]] == list(range(n))
+        assert all(b.stop - b.start <= ROWS_PER_BLOCK for b in blocks)
+
+    def test_a_row_wider_than_a_block_is_a_block_of_its_own(self):
+        assert list(_row_blocks(3, 2 * _ROW_BLOCK)) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+        assert list(_row_blocks(2, 0)) == [slice(0, 2)]
+
+    @pytest.mark.parametrize("n", [1, ROWS_PER_BLOCK - 1, ROWS_PER_BLOCK, ROWS_PER_BLOCK + 1])
+    def test_row_norms_have_the_bits_of_the_whole_array_sum(self, n):
+        x = np.random.default_rng(n).normal(0.0, 3.0, (n, 1024))
+        assert same_bits(_row_norms(x), np.sum(x * x, axis=1))

@@ -1,15 +1,18 @@
 import copy
 import dataclasses
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from dpdl.configio import coerce_fields, parse_kv_text
 from dpdl.errors import CorruptionError, FormatError, NumericError, ValidationError
 from dpdl import training
 from dpdl.features import (Dataset, FeatureMap, SplitPlan, SynthConfig, cutmix_pseudo_anomaly,
-                           synth_generate)
+                           make_splits, synth_generate)
+from dpdl.prototypes import _ROW_BLOCK, vq_init
 from dpdl.scoring import HeadLoss
 from dpdl.training import (Checkpoint, OptimizerState, TrainConfig, _draw_batch, load_checkpoint,
                            optimizer_step, parse_train_config, save_checkpoint, train)
@@ -302,6 +305,37 @@ class TestDrawBatch:
             assert grids[row].tobytes() == want.grid.astype(np.float64).tobytes()
             assert labels[row] == want.label
         assert replay.bit_generator.state == rng.bit_generator.state
+
+
+class TestTrainMemory:
+    def test_pool_is_promoted_in_blocks_and_dropped_before_the_first_step(self, monkeypatch):
+        # 8x8x64 grids and 900 training normals: the float64 pool is 29.5 MB.
+        # Promoted and squared whole, the pool and its square would be held
+        # at once, past this bound.  Promoted and squared one row block at a
+        # time, a run holds beyond the pool one row block, one cluster's
+        # rows while a Lloyd update averages them, and slack for the model
+        # (θ, its gradient, AdamW's two moments, the realized mixture) and
+        # the batch, counted as 12 θ.  The pool must be gone by the first
+        # batch draw.
+        ds = synth_generate(SynthConfig(height=8, width=8, channels=64, n_per_normal_cluster=600,
+                                        n_context_channels=8), seed=0)
+        split = make_splits(ds, "general", 4, seed=0)
+        config = tiny_config(epochs=1, iters_per_epoch=2, batch_size=8, n_prototypes=8)
+        held_at_first_step = []
+        real_draw_batch = training._draw_batch
+
+        def draw_batch(*args):
+            held_at_first_step.append(tracemalloc.get_traced_memory()[0])
+            return real_draw_batch(*args)
+
+        monkeypatch.setattr(training, "_draw_batch", draw_batch)
+        result, peak = traced_peak(train, ds, split, config)
+        pool = ds.flats(np.array(split.train_normal_ids))
+        cluster = np.bincount(vq_init(pool, 8, seed=config.seed).assignment).max()
+        theta = result.checkpoint.theta.nbytes
+        bound = pool.nbytes + 8 * (_ROW_BLOCK + cluster * pool.shape[1]) + 12 * theta
+        assert peak < bound < 2 * pool.nbytes
+        assert held_at_first_step[0] < pool.nbytes / 2
 
 
 class TestTrainLoop:
