@@ -23,13 +23,15 @@ and the reader both go through it.
 
 Work over a dataset's items goes one row block at a time
 (``prototypes._row_blocks``: at most 2^17 values per block): the writer
-fills and writes one block of records, and ``Dataset.flats`` promotes one
-block of grids to float64, so neither copies the dataset as a whole.
+fills and writes one block of records, ``Dataset.flats`` promotes one
+block of grids to float64, and the item check tests one block of grids
+for finite values, so none of them copies the dataset as a whole.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -62,14 +64,15 @@ def _check_items(grids, labels, class_ids, error, name, *faults) -> None:
     """Raise ``error``, naming item i as ``name(i)``, for the first of N items
     (float32 grids) that fails a check.  In the order an item reports them:
     the caller's (mask, reason) ``faults``, a label not 0 or 1, a class id
-    outside u32, a non-finite grid value.  A float64 sum of finite float32
-    values cannot overflow, so an item's sum is finite exactly when all its
-    values are; the sum of +inf and -inf is a NaN, not a warning."""
-    with np.errstate(invalid="ignore"):
-        sums = grids.sum(axis=(1, 2, 3), dtype=np.float64)
+    outside u32, a non-finite grid value.  Finiteness is tested value by
+    value, one row block at a time, so the check holds one block of bools;
+    a sum could overflow on finite values or warn on +inf and -inf."""
+    finite = np.empty(len(grids), dtype=bool)
+    for rows in _row_blocks(len(grids), math.prod(grids.shape[1:])):
+        np.isfinite(grids[rows]).all(axis=(1, 2, 3), out=finite[rows])
     faults += (((labels != LABEL_NORMAL) & (labels != LABEL_ANOMALY), lambda i: f"has label {labels[i]}"),
                ((class_ids < 0) | (class_ids > 0xFFFFFFFF), lambda i: f"has class id {class_ids[i]} outside u32"),
-               (~np.isfinite(sums), lambda i: "contains non-finite values"))
+               (~finite, lambda i: "contains non-finite values"))
     bad = np.flatnonzero(np.logical_or.reduce([mask for mask, _ in faults]))
     if bad.size:
         i = int(bad[0])

@@ -38,29 +38,38 @@ RESIDUAL_SCALES = ("std", "var")
 # rows, zero-padded, so every matrix product has one shape for a model: BLAS
 # then takes the same kernel and thread split for every pass, and each row
 # rounds the same way whatever the other rows hold.  Products of other shapes
-# can round differently.  The largest pass of the (rows, D) x (D, C) product
-# pair x @ mu.T, w @ mu that OpenBLAS 0.3.31 (numpy 2.4.6, 2 cores) ran on
-# the calling thread, and the smallest it split over two threads, at C = 32:
+# can round differently.  A pass's products are (rows, D) x (D, C) pairs,
+# x @ mu.T and w @ mu.  Where OpenBLAS 0.3.31 (numpy 2.4.6, 2 cores) ran each
+# on the calling thread and where it split it over two threads, by the
+# per-thread CPU time of about 1 s of calls after 50 warm-up calls, at C =
+# 16, 32 and 64 alike:
 #
-#     D        calling thread             two threads
-#     128      64 rows (2**18 mult-adds)  128 rows (2**19)
-#     2048      8 rows (2**19)             16 rows (2**20)
-#     4096      4 rows (2**19)              8 rows (2**20)
+#     D        2**18 mult-adds   2**19                  2**20
+#     128      calling thread    x @ mu.T on two        both on two
+#     512      calling thread    calling thread         both on two
+#     1024     calling thread    calling thread         both on two
+#     2048     calling thread    calling thread         both on two
+#     4096     calling thread    calling thread         both on two, except
+#                                                       x @ mu.T at C = 16
 #
-# A threaded pass is unstable in time: one run of 128-row passes at D = 128
-# took 8.2 ms per product pair, against about 50 us in others, with the main
-# thread and the worker sharing one CPU.  So a pass holds at most 2**18
-# multiply-adds per product, and at least 4 rows, the floor that binds once
-# D * C > 2**16.  It holds at most 32 rows: at D = 128 and C = 32, passes of
-# 8 to 32 rows scored every item with the bits of a 4-row pass, while the
-# 48- and 64-row products rounded differently and moved one score in 460 by
-# one ulp.  The cap also bounds the zero padding of a short last pass; 64
-# rows scored a 140-item split about 4% faster than 32.
+# At 2**19, x @ mu.T also went to two threads at D = 256 (C = 64), and both
+# stayed on the calling thread at every other shape tried with D >= 384 (D up
+# to 8192, C up to 256).  A threaded pass is unstable in time: one run of
+# 128-row passes at D = 128 took 8.2 ms per product pair, against about 50 us
+# in others, with the main thread and the worker sharing one CPU.  So a pass
+# holds at most 2**19 multiply-adds per product where D >= 512 and 2**18
+# below, and at least 4 rows, a floor that binds once D * C exceeds a quarter
+# of that budget, as at D = 8192 and C = 32.  It holds at most 32 rows: at
+# D = 128 and C = 32, passes of 8 to 32 rows scored every item with the bits
+# of a 4-row pass, while the 48- and 64-row products rounded differently and
+# moved one score in 460 by one ulp.  The cap also bounds the zero padding of
+# a short last pass; 64 rows scored a 140-item split about 4% faster than 32.
 
 
 def pass_rows(dim: int, n_components: int) -> int:
     """Rows per scoring pass of a model with D = dim and C = n_components."""
-    return min(32, max(4, 2 ** 18 // (dim * n_components)))
+    budget = 2 ** 19 if dim >= 512 else 2 ** 18
+    return min(32, max(4, budget // (dim * n_components)))
 
 
 @dataclass

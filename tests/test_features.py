@@ -160,6 +160,17 @@ class TestRowBlocks:
         write_feature_file(path, ds)
         assert path.read_bytes() == struct.pack("<8sIQIII", b"DPDLFEAT", 1, n, 4, 4, 64) + records.tobytes()
 
+    @pytest.mark.parametrize("bad", [0, ROWS_PER_BLOCK - 1, ROWS_PER_BLOCK, 2 * ROWS_PER_BLOCK])
+    def test_reader_names_a_non_finite_item_in_any_block(self, tmp_path, bad):
+        path = tmp_path / "b.feat"
+        write_feature_file(path, block_dataset(2 * ROWS_PER_BLOCK + 1))
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<f", blob, HEADER_BYTES + bad * (RECORD_HEAD_BYTES + 4096) + RECORD_HEAD_BYTES + 4,
+                         np.nan)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CorruptionError, match=f"item {bad} contains non-finite values"):
+            read_feature_file(path)
+
     def test_writer_memory_does_not_grow_with_the_item_count(self, tmp_path):
         # The whole-file record array of the 10x dataset is 5 MB.
         peaks = {}
@@ -327,6 +338,30 @@ class TestFeatureFile:
         with pytest.raises(CorruptionError, match="item 0 contains non-finite values"):
             read_feature_file(path)
         assert not recwarn.list
+
+    @pytest.mark.parametrize("values", [(np.nan,), (np.inf, -np.inf)], ids=["nan", "plus and minus inf"])
+    def test_non_finite_item_is_refused_by_map_and_file(self, tmp_path, values):
+        grid = np.ones((2, 2, 3), dtype=np.float32)
+        grid.reshape(-1)[:len(values)] = values
+        with pytest.raises(ValidationError, match="feature map 'x' contains non-finite values"):
+            FeatureMap(grid, LABEL_NORMAL, 0, "x")
+        path = tmp_path / "c.feat"
+        write_feature_file(path, small_dataset())
+        blob = bytearray(path.read_bytes())
+        for k, value in enumerate(values):
+            struct.pack_into("<f", blob, HEADER_BYTES + RECORD_HEAD_BYTES + 4 * k, value)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CorruptionError, match="item 0 contains non-finite values"):
+            read_feature_file(path)
+
+    def test_finite_item_whose_float32_sum_overflows_is_accepted(self, tmp_path):
+        grid = np.full((2, 2, 3), 3e38, dtype=np.float32)
+        with np.errstate(over="ignore"):
+            assert np.isinf(grid.sum())
+        fm = FeatureMap(grid, LABEL_NORMAL, 0, "x")
+        path = tmp_path / "big.feat"
+        write_feature_file(path, Dataset((fm,)))
+        assert read_feature_file(path).grids.tobytes() == grid.tobytes()
 
     def test_reader_assigns_canonical_ids(self, tmp_path):
         ds = small_dataset(canonical=False)

@@ -351,15 +351,16 @@ class TestCompositeScore:
         assert anomaly_score(mgp, heads, grid) == pytest.approx(s_a + s_r - s_n, abs=1e-12)
 
     @pytest.mark.parametrize("epsilon", [1e-3, 0.5])
-    @pytest.mark.parametrize("dims", [(2, 2, 2), (8, 8, 32), (8, 8, 128)])
+    @pytest.mark.parametrize("dims", [(2, 2, 2, 6), (8, 8, 32, 6), (8, 8, 128, 32),
+                                      (8, 4, 16, 32), (8, 8, 16, 32), (8, 8, 32, 32)])
     def test_score_ignores_the_rest_of_its_chunk(self, rng, epsilon, dims):
         # The chunk's other rows are random, zero, or scaled by 1e3; at
         # D = 2048 an unpadded (M, D) product can round row 0 differently for
-        # different M.  D = 8192 takes 32 prototypes: its D x C = 2**18 puts
-        # even a pass of the 4-row floor past the 2**18 multiply-adds that
-        # pass_rows keeps on the calling thread.
-        h, w, d = dims
-        c = 32 if h * w * d > 4096 else 6
+        # different M.  At 32 prototypes, D = 512, 1024 and 2048 take 32-, 16-
+        # and 8-row passes, and D = 8192's D x C = 2**18 puts even a pass of
+        # the 4-row floor past the 2**19 multiply-adds that pass_rows keeps
+        # on the calling thread.
+        h, w, d, c = dims
         mgp = random_mgp(rng, c, h * w * d, epsilon=epsilon)
         heads = random_heads(rng, d)
         size = pass_rows(h * w * d, c)
@@ -373,14 +374,15 @@ class TestCompositeScore:
         assert anomaly_scores(mgp, heads, grids).tobytes() == np.array(alone).tobytes()
 
     def test_pass_rows(self):
-        assert pass_rows(128, 32) == 32
-        assert [pass_rows(dim, 32) for dim in (2048, 4096, 8192)] == [4, 4, 4]
+        assert [pass_rows(dim, 32) for dim in (128, 512, 1024, 2048, 4096, 8192)] == [32, 32, 16, 8, 4, 4]
         assert pass_rows(8, 6) == 32
-        for dim in (1, 8, 100, 128, 300, 2048, 4096):
+        # Below D = 512, x @ mu.T went to two threads at 2**19 multiply-adds.
+        assert [pass_rows(128, 128), pass_rows(256, 64)] == [16, 16]
+        for dim in (1, 8, 100, 128, 300, 512, 600, 2048, 4096):
             for c in (1, 2, 6, 32, 33, 100):
                 rows = pass_rows(dim, c)
                 assert 4 <= rows <= 32
-                assert rows == 4 or rows * dim * c <= 2 ** 18
+                assert rows == 4 or rows * dim * c <= (2 ** 19 if dim >= 512 else 2 ** 18)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_input_names_its_row(self, rng, bad):
