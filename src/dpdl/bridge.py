@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .configio import check_int
 from .errors import DomainError, NumericError, UnsupportedError, ValidationError
 from .prototypes import _LOG_2PI, MGP, logsumexp, mgp_log_density
 
@@ -67,10 +68,13 @@ class CondGMM:
 def plan_weights(mgp: MGP, xs: np.ndarray) -> np.ndarray:
     """Conditional-plan weights (B, C) at source points xs (B, D) checked by ``MGP.points``.
 
-    Row b holds the normalized tilted masses at xs[b].
+    Row b holds the tilted masses at xs[b], normalized once: the
+    exponentials of the max-shifted logits over their sum.  Subtracting
+    their logsumexp instead leaves a row's sum off 1 by up to an ulp of the
+    logits, which ε = 1e-3 makes as large as 1e7 (1 - 1.9e-9 was seen).
     """
     lw = mgp.tilted_logits(xs)
-    weights = np.exp(lw - logsumexp(lw, axis=1, keepdims=True))
+    weights = np.exp(lw - lw.max(axis=1, keepdims=True))
     weights /= weights.sum(axis=1, keepdims=True)
     return weights
 
@@ -205,8 +209,7 @@ def simulate_sde_batch(mgp: MGP, x0: np.ndarray, n_steps: int,
     endpoint given the penultimate state, so discretization bias enters
     only through the Euler stretch.  With n_steps=1 the draw is exact.
     """
-    if isinstance(n_steps, bool) or not isinstance(n_steps, numbers.Integral) or n_steps < 1:
-        raise ValidationError(f"n_steps must be an integer >= 1, got {n_steps!r}")
+    check_int("n_steps", n_steps, 1)
     x0 = mgp.points(x0)
     batch, dim = x0.shape
     dt = 1.0 / n_steps

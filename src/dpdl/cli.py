@@ -18,8 +18,8 @@ from .evaluation import format_report, run_experiment, score_dataset, write_repo
 from .features import (make_splits, parse_synth_config, read_feature_file,
                        synth_generate, write_feature_file)
 from .scoring import write_scores_csv
-from .training import (TrainConfig, format_training_log, load_checkpoint,
-                       parse_train_config, save_checkpoint, train)
+from .training import (format_training_log, load_checkpoint, parse_train_config,
+                       save_checkpoint, train)
 from .verify import run_bridge_suite
 
 EXIT_OK = 0
@@ -91,12 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_train_config(path, **overrides) -> TrainConfig:
-    if path is None:
-        return TrainConfig(**overrides)
-    return parse_train_config(path, **overrides)
-
-
 def _cmd_synth(args) -> int:
     config = parse_synth_config(args.config)
     dataset = synth_generate(config, args.seed)
@@ -108,7 +102,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_train(args) -> int:
     dataset = read_feature_file(args.data)
-    config = _load_train_config(args.config, protocol=args.protocol, m=args.m, seed=args.seed)
+    config = parse_train_config(args.config, protocol=args.protocol, m=args.m, seed=args.seed)
     split = make_splits(dataset, config.protocol, config.m, config.seed)
     started = time.monotonic()
     result = train(dataset, split, config)
@@ -133,7 +127,7 @@ def _cmd_score(args) -> int:
 
 def _cmd_eval(args) -> int:
     dataset = read_feature_file(args.data)
-    config = _load_train_config(args.config, protocol=args.protocol, m=args.m, seed=args.seed)
+    config = parse_train_config(args.config, protocol=args.protocol, m=args.m, seed=args.seed)
     started = time.monotonic()
     report, results = run_experiment(dataset, args.protocol, args.m, args.runs, args.seed, config)
     sibling = write_report(args.out, report)

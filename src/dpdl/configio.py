@@ -91,6 +91,13 @@ def _coerce_value(annotation, key: str, text: str):
     raise ValidationError(f"config key {key!r} has unsupported field type {type_name!r}")
 
 
+def check_int(name: str, value, low: int, high=math.inf) -> None:
+    """ValidationError naming argument ``name`` unless ``value`` is an integer
+    in [low, high].  numpy integers count; a bool does not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not low <= value <= high:
+        raise ValidationError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
+
+
 def check_field_values(config) -> None:
     """Check every field of a config dataclass against its annotation.
 

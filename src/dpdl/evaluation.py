@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import atomic_open
+from .configio import check_int
 from .errors import UndefinedMetricError, ValidationError
 from .features import Dataset, checked_ids, make_splits
 from .prototypes import _nearest_codewords, _row_norms, mgp_realize, vq_init
@@ -79,15 +80,16 @@ def run_experiment(dataset: Dataset, protocol: str, m: int, n_runs: int,
     """Repeat split/train/score over seeds base_seed..base_seed+n_runs-1.
 
     The standard deviation uses the n-1 denominator and is zero for a
-    single run.
+    single run.  ValidationError names an ``n_runs`` that is not a positive
+    integer or a ``base_seed`` that is not a nonnegative one.
     """
-    if n_runs < 1:
-        raise ValidationError(f"n_runs must be positive, got {n_runs}")
+    check_int("n_runs", n_runs, 1)
+    check_int("base_seed", base_seed, 0)
     aucs = []
     seeds = []
     results = []
     for k in range(n_runs):
-        seed = base_seed + k
+        seed = int(base_seed) + k
         cfg = dataclasses.replace(config, protocol=protocol, m=m, seed=seed)
         split = make_splits(dataset, protocol, m, seed)
         result = train(dataset, split, cfg)

@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import atomic_open
-from .configio import check_field_values, coerce_fields, parse_kv_file
+from .configio import check_field_values, check_int, coerce_fields, parse_kv_file
 from .errors import CorruptionError, FormatError, ProtocolError, ValidationError
 from .prototypes import _row_blocks
 
@@ -289,13 +289,9 @@ class SynthConfig:
         check_field_values(self)
         for field in ("n_normal_clusters", "n_per_normal_cluster",
                       "n_per_anomaly_class", "height", "width", "channels"):
-            if getattr(self, field) < 1:
-                raise ValidationError(f"{field} must be positive, got {getattr(self, field)}")
-        if self.n_anomaly_classes < 0:
-            raise ValidationError(f"n_anomaly_classes must be nonnegative, got {self.n_anomaly_classes}")
-        if not 0 <= self.n_context_channels <= self.channels:
-            raise ValidationError(
-                f"n_context_channels must lie in [0, channels], got {self.n_context_channels}")
+            check_int(field, getattr(self, field), 1)
+        check_int("n_anomaly_classes", self.n_anomaly_classes, 0)
+        check_int("n_context_channels", self.n_context_channels, 0, self.channels)
         if self.n_anomaly_classes >= 1 and self.n_context_channels == self.channels:
             raise ValidationError("anomaly displacement needs at least one detail channel")
         if self.noise <= 0 or self.detail_noise <= 0:
@@ -314,8 +310,10 @@ def synth_generate(config: SynthConfig, seed: int) -> Dataset:
     """Draw a synthetic dataset; identical (config, seed) gives identical bytes.
 
     Normals carry class_id 0 and source ids ``normal-c<cluster>-<i>``;
-    anomaly classes are numbered from 1.
+    anomaly classes are numbered from 1.  The seed must be a nonnegative
+    integer (ValidationError otherwise).
     """
+    check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     h, w, d = config.height, config.width, config.channels
     n_ctx = config.n_context_channels
@@ -371,11 +369,13 @@ def make_splits(dataset: Dataset, protocol: str, m: int, seed: int) -> SplitPlan
     items and the rest go to test.  Under ``hard`` one anomaly class is
     chosen to supply the M training items; every other class goes to test
     and leftover items of the chosen class are dropped entirely.
+    ValidationError names an ``m`` or ``seed`` that is not a nonnegative
+    integer.
     """
     if protocol not in ("general", "hard"):
         raise ValidationError(f"protocol must be 'general' or 'hard', got {protocol!r}")
-    if m < 0:
-        raise ValidationError(f"m must be nonnegative, got {m}")
+    check_int("m", m, 0)
+    check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     normal_ids = np.flatnonzero(dataset.labels == LABEL_NORMAL)
     anomaly_ids = np.flatnonzero(dataset.labels == LABEL_ANOMALY)

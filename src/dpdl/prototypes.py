@@ -16,12 +16,11 @@ plus arrays of shape (N, C), (C, D) and one cluster's rows; it makes no
 from __future__ import annotations
 
 import functools
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from .configio import check_int
 from .errors import ValidationError
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -58,25 +57,18 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
 
 
 def logsumexp(a, axis=None, keepdims: bool = False):
-    """log(sum(exp(a))) along ``axis``, bit for bit what scipy.special.logsumexp returns.
+    """log(sum(exp(a))) along ``axis``, as log(sum(exp(a - max))) + max.
 
-    Same algorithm: every entry equal to the maximum is split out of the
-    sum, so the result is log1p(rest / ties) + log(ties) + max.  Where that
-    is not finite (all -inf, +inf or NaN entries) the direct
-    log(sum(exp(a))) is returned instead, as scipy does.
+    The shift keeps every exponent at or below 0 and the sum at or above 1,
+    so nothing overflows and the log never sees 0.  A slice whose maximum
+    is not finite (all -inf, a +inf or a NaN) is shifted by 0 instead and
+    comes out as that maximum, without a floating-point warning.
     """
     a = np.asarray(a, dtype=np.float64)
     a_max = np.max(a, axis=axis, keepdims=True)
-    ties = a == a_max
-    count = np.sum(ties, axis=axis, keepdims=True, dtype=np.float64)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        rest = np.sum(np.exp(np.where(ties, -np.inf, a) - a_max), axis=axis, keepdims=True)
-        out = np.log1p(rest / count) + np.log(count) + a_max
-    bad = ~np.isfinite(out)
-    if bad.any():
-        with np.errstate(divide="ignore", over="ignore"):
-            direct = np.log(np.sum(np.exp(a), axis=axis, keepdims=True))
-        out = np.where(bad, direct, out)
+    shift = np.where(np.isfinite(a_max), a_max, 0.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        out = np.log(np.sum(np.exp(a - shift), axis=axis, keepdims=True)) + shift
     if not keepdims:
         out = np.squeeze(out, axis=axis)
     return out[()] if out.ndim == 0 else out
@@ -270,10 +262,9 @@ def vq_init(features: np.ndarray, n_codewords: int, max_iters: int = 100,
     if x.ndim != 2 or x.shape[0] < 1:
         raise ValidationError(f"features must be a nonempty (N, D) array, got shape {x.shape}")
     n, _ = x.shape
-    for name, value, low, high in (("n_codewords", n_codewords, 1, n), ("max_iters", max_iters, 1, math.inf),
-                                   ("seed", seed, 0, math.inf)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not low <= value <= high:
-            raise ValidationError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
+    check_int("n_codewords", n_codewords, 1, n)
+    check_int("max_iters", max_iters, 1)
+    check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     x_sq = _row_norms(x)
     codebook = _kmeans_pp_seed(x, x_sq, n_codewords, rng)

@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import atomic_open
-from .configio import check_field_values, coerce_fields, parse_kv_file, parse_kv_text
+from .configio import check_field_values, check_int, coerce_fields, parse_kv_file, parse_kv_text
 from .errors import CorruptionError, FormatError, NumericError, ValidationError
 from .features import LABEL_ANOMALY, Dataset, SplitPlan, checked_ids, cutmix_rectangle
 from .losses import loss_dfl, loss_dpl, unitize
@@ -84,9 +84,9 @@ class TrainConfig:
 
     def __post_init__(self):
         check_field_values(self)
-        for field in ("epochs", "iters_per_epoch", "batch_size", "n_prototypes"):
-            if getattr(self, field) < 1:
-                raise ValidationError(f"{field} must be positive, got {getattr(self, field)}")
+        for field, low in (("epochs", 1), ("iters_per_epoch", 1), ("batch_size", 1), ("n_prototypes", 1),
+                           ("m", 0), ("seed", 0)):
+            check_int(field, getattr(self, field), low)
         if self.learning_rate <= 0 or self.weight_decay < 0:
             raise ValidationError("learning_rate must be positive and weight_decay nonnegative")
         if self.lambda_ < 0 or self.kappa < 0:
@@ -101,13 +101,12 @@ class TrainConfig:
             raise ValidationError(f"residual_scale must be one of {RESIDUAL_SCALES}, got {self.residual_scale!r}")
         if self.protocol not in ("general", "hard"):
             raise ValidationError(f"protocol must be 'general' or 'hard', got {self.protocol!r}")
-        if self.m < 0 or self.seed < 0:
-            raise ValidationError("m and seed must be nonnegative")
 
 
-def parse_train_config(path: str | Path, **overrides) -> TrainConfig:
-    """Read a config file and apply keyword overrides on top."""
-    kwargs = coerce_fields(TrainConfig, parse_kv_file(path), aliases=_CONFIG_ALIASES)
+def parse_train_config(path: str | Path | None, **overrides) -> TrainConfig:
+    """Read a config file, or take the defaults when ``path`` is None, and
+    apply keyword overrides on top."""
+    kwargs = {} if path is None else coerce_fields(TrainConfig, parse_kv_file(path), aliases=_CONFIG_ALIASES)
     kwargs.update(overrides)
     return TrainConfig(**kwargs)
 
@@ -169,13 +168,13 @@ def optimizer_step(theta: np.ndarray, grad: np.ndarray, state: OptimizerState, l
                    weight_decay: float) -> None:
     """Clip ``grad`` in place to global norm GRAD_CLIP_NORM, then one in-place AdamW update of ``theta``.
 
-    The norm adds each array's sum of squares in layout order.  Then
+    The norm is sqrt(grad @ grad) over the whole vector.  Then
     theta <- theta - lr * (m_hat / (sqrt(v_hat) + ADAM_EPS) + wd * theta)
     with first and second moments bias-corrected for ADAM_BETA1 and ADAM_BETA2.
     """
     if not grad.shape == theta.shape == (_size(state.layout),) or state.moments.shape != (2,) + theta.shape:
         raise ValidationError(f"θ {theta.shape}, gradient {grad.shape} or moments {state.moments.shape} misfit layout")
-    total = np.sqrt(sum(float(np.sum(g * g)) for g in _views(grad, state.layout).values()))
+    total = np.sqrt(grad @ grad)
     if total > GRAD_CLIP_NORM:
         grad *= GRAD_CLIP_NORM / total
     state.step += 1

@@ -158,6 +158,19 @@ class TestPlanWeightsAndMeans:
         assert np.array_equal(cond.means, mgp.mu + mgp.sigma * (x / mgp.epsilon))
         assert np.array_equal(cond.variances, mgp.sigma)
 
+    @pytest.mark.parametrize("epsilon", [1e-3, 0.3, 2.0])
+    def test_rows_sum_to_one(self, rng, epsilon):
+        # Components 2 and 3 repeat 0 and 1, so every row has tied maxima.
+        # At eps = 1e-3 the tied logits are 4e7-7e7, and exp(lw - logsumexp(lw))
+        # summed to 1 - 1.9e-9 there.
+        from dpdl.bridge import plan_weights
+        half = random_mgp(rng, 2, 128, epsilon=epsilon)
+        mgp = MGP(alpha=np.full(4, 0.25), mu=np.concatenate([half.mu, half.mu]),
+                  sigma=np.concatenate([half.sigma, half.sigma]), epsilon=epsilon)
+        weights = plan_weights(mgp, rng.normal(size=(50, 128)))
+        assert np.all(weights >= 0)
+        assert np.max(np.abs(weights.sum(axis=1) - 1.0)) <= 1e-12
+
 
 class TestPosteriorMode:
     def test_ignores_mixture_weights(self):
@@ -304,8 +317,8 @@ class TestSimulate:
             simulate_sde_batch(mgp, np.zeros((2, 3)), 4, rng)
         with pytest.raises(ValidationError):
             simulate_sde_batch(mgp, np.array([[0.0], [np.nan]]), 4, rng)
-        for not_int in (2.5, "3"):
-            with pytest.raises(ValidationError):
+        for not_int in (2.5, "3", -1, 1.5, True, "a"):
+            with pytest.raises(ValidationError, match="^n_steps must be an integer"):
                 simulate_sde_batch(mgp, np.zeros((1, 1)), not_int, rng)
 
     def test_drift_and_simulator_build_nothing_of_shape_b_c_d(self):

@@ -292,6 +292,22 @@ class TestRunExperiment:
         with pytest.raises(ValidationError):
             run_experiment(ds, "general", 1, 0, 0, tiny_config())
 
+    @pytest.mark.parametrize("value", [-1, 1.5, True, "a"])
+    @pytest.mark.parametrize("name", ["n_runs", "base_seed"])
+    def test_integer_arguments_are_checked(self, name, value):
+        # An n_runs of 1.5 escaped as a bare TypeError, and True passed as 1.
+        args = {"n_runs": 1, "base_seed": 0, name: value}
+        with pytest.raises(ValidationError, match=f"^{name} must be an integer"):
+            run_experiment(blobby_dataset(), "general", 1, config=tiny_config(epochs=1), **args)
+
+    def test_numpy_integer_arguments_are_accepted(self):
+        # The run seeds count on past a narrow numpy base seed's largest value.
+        ds = blobby_dataset()
+        got, _ = run_experiment(ds, "general", 1, np.int64(2), np.uint8(255), tiny_config(epochs=1))
+        want, _ = run_experiment(ds, "general", 1, 2, 255, tiny_config(epochs=1))
+        assert got.run_seeds == want.run_seeds == (255, 256)
+        assert got.aucs == want.aucs
+
 
 class TestReportFiles:
     REPORT = Report(protocol="hard", m=1, n_runs=2, base_seed=0, run_seeds=(0, 1),

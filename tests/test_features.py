@@ -471,6 +471,12 @@ class TestSynthGenerate:
         with pytest.raises(ValidationError):
             SynthConfig(n_context_channels=8)  # no detail channels left
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "a"])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        # -1 escaped as a bare numpy ValueError, and True passed as 1.
+        with pytest.raises(ValidationError, match="^seed must be an integer"):
+            synth_generate(SynthConfig(n_per_normal_cluster=5, n_per_anomaly_class=2), seed)
+
 
 class TestMakeSplits:
     def test_normal_ratio_and_disjointness(self):
@@ -540,6 +546,15 @@ class TestMakeSplits:
             make_splits(ds, "general", 7, 0)
         with pytest.raises(ValidationError):
             make_splits(ds, "oops", 1, 0)
+
+    @pytest.mark.parametrize("value", [-1, 1.5, True, "a"])
+    @pytest.mark.parametrize("name", ["m", "seed"])
+    def test_integer_arguments_are_checked(self, name, value):
+        # A seed of -1 and an m of 1.5 escaped as a bare numpy ValueError or
+        # TypeError, and True passed as 1.
+        ds = synth_generate(SynthConfig(n_per_normal_cluster=20, n_per_anomaly_class=4), 1)
+        with pytest.raises(ValidationError, match=f"^{name} must be an integer"):
+            make_splits(ds, "general", **{"m": 1, "seed": 0, name: value})
 
 
 class TestCutmix:

@@ -217,6 +217,10 @@ class TestConfigParsing:
         cfg = parse_train_config(path, epochs=9, seed=11)
         assert cfg.epochs == 9 and cfg.seed == 11 and cfg.lambda_ == 0.5
 
+    def test_no_path_gives_the_defaults_with_overrides(self):
+        assert parse_train_config(None) == TrainConfig()
+        assert parse_train_config(None, epochs=9, seed=11) == TrainConfig(epochs=9, seed=11)
+
     def test_lambda_underscore_spelling_also_accepted(self, tmp_path):
         path = tmp_path / "t.cfg"
         path.write_text("lambda_ = 0.5\n")
