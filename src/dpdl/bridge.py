@@ -28,7 +28,7 @@ import numpy as np
 
 from .configio import check_int
 from .errors import DomainError, NumericError, UnsupportedError, ValidationError
-from .prototypes import _LOG_2PI, MGP, logsumexp, mgp_log_density
+from .prototypes import _LOG_2PI, MGP, logsumexp, mgp_log_density, softmax
 
 
 def _as_point(mgp: MGP, x: np.ndarray) -> np.ndarray:
@@ -68,15 +68,9 @@ class CondGMM:
 def plan_weights(mgp: MGP, xs: np.ndarray) -> np.ndarray:
     """Conditional-plan weights (B, C) at source points xs (B, D) checked by ``MGP.points``.
 
-    Row b holds the tilted masses at xs[b], normalized once: the
-    exponentials of the max-shifted logits over their sum.  Subtracting
-    their logsumexp instead leaves a row's sum off 1 by up to an ulp of the
-    logits, which ε = 1e-3 makes as large as 1e7 (1 - 1.9e-9 was seen).
+    Row b is the ``softmax`` of the tilted logits at xs[b].
     """
-    lw = mgp.tilted_logits(xs)
-    weights = np.exp(lw - lw.max(axis=1, keepdims=True))
-    weights /= weights.sum(axis=1, keepdims=True)
-    return weights
+    return softmax(mgp.tilted_logits(xs), axis=1)[0]
 
 
 def plan_endpoints(mgp: MGP, weights: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -156,7 +150,7 @@ def _time_posterior(mgp: MGP, xs: np.ndarray, t: float):
               - (0.5 * t) * np.sum(mgp.mu * mu_over_v, axis=1)
               + xs @ mu_over_v.T
               + 0.5 * ((xs * xs) @ (mgp.sigma / (tau * v)).T))
-    return np.exp(logits - logsumexp(logits, axis=1, keepdims=True)), v
+    return softmax(logits, axis=1)[0], v
 
 
 def _check_time(t: float) -> float:

@@ -19,10 +19,11 @@ alone.  ``loss_dpl`` computes the step's sum once, on the mixture the
 step has already realized, and skips S's gradient when it cancels; S's
 value is still computed for the log.
 
-Every mixture quadratic comes from the realized mixture's expanded
-matrix-product forms (``MGP.tilted_logits``, ``MGP.sq_distances``), so
-memory stays O(C*D + N*D) and nothing of shape (C, C, D) or (N, C, D) is
-built.
+P's responsibilities are the plan weights (``bridge.plan_weights``), one
+``prototypes.softmax`` of ``MGP.tilted_logits``.  Every mixture quadratic
+comes from the realized mixture's expanded matrix-product forms
+(``MGP.tilted_logits``, ``MGP.sq_distances``), so memory stays
+O(C*D + N*D) and nothing of shape (C, C, D) or (N, C, D) is built.
 
 All gradients are closed-form expressions with respect to the
 unconstrained parameters (logits, means, log variances), so no autodiff
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, ValidationError
-from .prototypes import MGP, MGPParams, _log_components, logsumexp, mgp_realize
+from .prototypes import MGP, MGPParams, _log_components, mgp_realize, softmax
 
 
 @dataclass(frozen=True)
@@ -84,10 +85,8 @@ def _partition_term(mgp: MGP, batch: np.ndarray):
     alpha, sigma = mgp.alpha, mgp.sigma
     e = mgp.epsilon
     n = batch.shape[0]
-    logits = mgp.tilted_logits(batch)                       # (N, C)
-    norms = logsumexp(logits, axis=1)
+    w, norms = softmax(mgp.tilted_logits(batch), axis=1)    # (N, C) responsibilities: the plan weights
     value = float(np.mean(norms))
-    w = np.exp(logits - norms[:, None])                     # (N, C) responsibilities
     grad_a = w.mean(axis=0) - alpha
     grad_m = w.T @ batch / (n * e)
     grad_s = sigma * (w.T @ (batch * batch)) / (2.0 * n * e * e)
@@ -99,9 +98,8 @@ def _self_likelihood(mgp: MGP):
     # sum_d (mu_cd - mu_kd)^2 / sigma_kd, clipped at 0; zero on the diagonal.
     sq = np.maximum(mgp.sq_distances(mgp.mu), 0.0)
     np.fill_diagonal(sq, 0.0)
-    energy = _log_components(mgp, sq)                       # (c_eval, k_comp)
-    norms = logsumexp(energy, axis=1)
-    return float(np.mean(norms)), np.exp(energy - norms[:, None])
+    q, norms = softmax(_log_components(mgp, sq), axis=1)    # (c_eval, k_comp)
+    return float(np.mean(norms)), q
 
 
 def _self_likelihood_grads(mgp: MGP, q: np.ndarray):
@@ -207,9 +205,8 @@ def loss_dfl(units: np.ndarray, kappa: float) -> DFLLoss:
     u = units.shape[0]
     gram = kappa * (units @ units.T)
     np.fill_diagonal(gram, -np.inf)
-    row_lse = logsumexp(gram, axis=1)
+    beta, row_lse = softmax(gram, axis=1)                   # rows sum to 1, diag 0
     value = float(np.mean(row_lse)) - float(np.log(u - 1))
-    beta = np.exp(gram - row_lse[:, None])                  # rows sum to 1, diag 0
     grad = (kappa / u) * ((beta + beta.T) @ units)
     grad -= np.sum(grad * units, axis=1, keepdims=True) * units
     return DFLLoss(value=value, grad=grad)

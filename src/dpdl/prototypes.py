@@ -56,21 +56,27 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def logsumexp(a, axis=None, keepdims: bool = False):
-    """log(sum(exp(a))) along ``axis``, as log(sum(exp(a - max))) + max.
-
-    The shift keeps every exponent at or below 0 and the sum at or above 1,
-    so nothing overflows and the log never sees 0.  A slice whose maximum
-    is not finite (all -inf, a +inf or a NaN) is shifted by 0 instead and
-    comes out as that maximum, without a floating-point warning.
-    """
+def softmax(a, axis):
+    """Weights exp(a - max) / sum(exp(a - max)) along ``axis``, each slice on
+    the simplex to rounding with weight 0 for -inf, and their logsumexp
+    log(sum(exp(a - max))) + max.  A slice whose maximum is not finite (all
+    -inf, a +inf or a NaN) is shifted by 0.  Both are computed under the
+    caller's floating-point error state; ``logsumexp`` silences it."""
     a = np.asarray(a, dtype=np.float64)
-    a_max = np.max(a, axis=axis, keepdims=True)
+    a_max = a.max(axis=axis, keepdims=True)
     shift = np.where(np.isfinite(a_max), a_max, 0.0)
-    with np.errstate(divide="ignore", over="ignore"):
-        out = np.log(np.sum(np.exp(a - shift), axis=axis, keepdims=True)) + shift
-    if not keepdims:
-        out = np.squeeze(out, axis=axis)
+    exps = np.exp(a - shift)
+    total = exps.sum(axis=axis, keepdims=True)
+    exps /= total
+    return exps, (np.log(total) + shift).squeeze(axis)
+
+
+def logsumexp(a, axis=None):
+    """log(sum(exp(a))) along ``axis``: ``softmax``'s, whose shift keeps the
+    sum of the exponentials in [1, n].  A slice whose maximum is not finite
+    comes out as that maximum, without a floating-point warning."""
+    with np.errstate(all="ignore"):
+        out = softmax(a, axis)[1]
     return out[()] if out.ndim == 0 else out
 
 
@@ -200,25 +206,19 @@ def mgp_new(init, epsilon: float) -> MGPParams:
 def mgp_realize(params: MGPParams) -> MGP:
     """Map unconstrained parameters to the constrained mixture.
 
-    Weights are a numerically shifted softmax so they sum to one exactly up
-    to rounding; variances are exponentials, hence always positive.
+    Weights are the ``softmax`` of the logits, so they sum to one up to
+    rounding; variances are exponentials, hence always positive.
     """
     if not (np.all(np.isfinite(params.a)) and np.all(np.isfinite(params.m)) and np.all(np.isfinite(params.s))):
         raise ValidationError("prototype parameters contain non-finite values")
-    shifted = params.a - params.a.max()
-    weights = np.exp(shifted)
-    alpha = weights / weights.sum()
-    return MGP(alpha=alpha, mu=params.m.copy(), sigma=np.exp(params.s), epsilon=params.epsilon)
+    return MGP(alpha=softmax(params.a, axis=0)[0], mu=params.m.copy(), sigma=np.exp(params.s),
+               epsilon=params.epsilon)
 
 
 def _log_components(mgp: MGP, sq: np.ndarray) -> np.ndarray:
     """log alpha_k + log N(y; mu_k, diag sigma_k) (N, C) from the distances
     sq = sum_d (y - mu_k)^2 / sigma_k (N, C) of each point y to each component k."""
-    return (
-        np.log(mgp.alpha)[None, :]
-        - 0.5 * (mgp.dim * _LOG_2PI + mgp.sum_log_sigma)[None, :]
-        - 0.5 * sq
-    )
+    return np.log(mgp.alpha) - 0.5 * (mgp.dim * _LOG_2PI + mgp.sum_log_sigma + sq)
 
 
 def mgp_log_density(mgp: MGP, points: np.ndarray) -> np.ndarray:

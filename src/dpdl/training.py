@@ -37,7 +37,7 @@ import numpy as np
 from .atomic import atomic_open
 from .configio import check_field_values, check_int, coerce_fields, parse_kv_file, parse_kv_text
 from .errors import CorruptionError, FormatError, NumericError, ValidationError
-from .features import LABEL_ANOMALY, Dataset, SplitPlan, checked_ids, cutmix_rectangle
+from .features import LABEL_ANOMALY, LABEL_NORMAL, Dataset, SplitPlan, checked_ids, cutmix_rectangle
 from .losses import loss_dfl, loss_dpl, unitize
 from .prototypes import MGPParams, mgp_new, mgp_realize, vq_init
 from .scoring import (RESIDUAL_SCALES, LinearHead, ScoringHeads, head_loss_anomaly,
@@ -255,9 +255,15 @@ def train(dataset: Dataset, split: SplitPlan, config: TrainConfig,
         split.train_normal_ids, split.train_anomaly_ids, split.test_ids))
     if not len(normal_pool):
         raise ValidationError("split has no training normals")
+    for pool, label, role in ((normal_pool, LABEL_NORMAL, "normal"), (anomaly_pool, LABEL_ANOMALY, "anomaly")):
+        wrong = pool[dataset.labels[pool] != label]
+        if wrong.size:
+            raise ValidationError(f"split names item {wrong[0]} a training {role}, but its label is {1 - label}")
 
     layout = _layout(config.n_prototypes, math.prod(dataset.dims), dataset.dims[2])
     if resume is None:
+        if config.n_prototypes > len(normal_pool):
+            raise ValidationError(f"n_prototypes {config.n_prototypes} exceeds the {len(normal_pool)} training normals")
         # The promoted pool is the largest array a fit holds; nothing keeps it past vq_init.
         init = mgp_new(vq_init(dataset.flats(normal_pool), config.n_prototypes, seed=config.seed),
                        config.epsilon)

@@ -12,7 +12,7 @@ from dpdl.bridge import (CondGMM, conditional_plan, drift_batch,
                          terminal_plan)
 from dpdl.errors import (DomainError, NumericError, UnsupportedError,
                          ValidationError)
-from dpdl.prototypes import MGP, MGPParams, mgp_log_density, mgp_realize
+from dpdl.prototypes import MGP, MGPParams, mgp_log_density, mgp_realize, softmax
 
 
 def decimal_drift(mgp, x, t, digits=50):
@@ -161,15 +161,32 @@ class TestPlanWeightsAndMeans:
     @pytest.mark.parametrize("epsilon", [1e-3, 0.3, 2.0])
     def test_rows_sum_to_one(self, rng, epsilon):
         # Components 2 and 3 repeat 0 and 1, so every row has tied maxima.
-        # At eps = 1e-3 the tied logits are 4e7-7e7, and exp(lw - logsumexp(lw))
-        # summed to 1 - 1.9e-9 there.
+        # At eps = 1e-3 the tied plan logits are 4e7-7e7, and exp(lw - logsumexp(lw))
+        # summed to 1 - 1.9e-9 there; the time-0.3 posterior's summed to 1 - 2.9e-11.
         from dpdl.bridge import plan_weights
         half = random_mgp(rng, 2, 128, epsilon=epsilon)
         mgp = MGP(alpha=np.full(4, 0.25), mu=np.concatenate([half.mu, half.mu]),
                   sigma=np.concatenate([half.sigma, half.sigma]), epsilon=epsilon)
-        weights = plan_weights(mgp, rng.normal(size=(50, 128)))
-        assert np.all(weights >= 0)
-        assert np.max(np.abs(weights.sum(axis=1) - 1.0)) <= 1e-12
+        xs = rng.normal(size=(50, 128))
+        for weights in (plan_weights(mgp, xs), np.array([terminal_plan(mgp, x, 0.3).weights for x in xs])):
+            assert np.all(weights >= 0)
+            assert np.max(np.abs(weights.sum(axis=1) - 1.0)) <= 1e-12
+
+    def test_are_the_partition_responsibilities(self, rng, monkeypatch):
+        import dpdl.losses
+        from dpdl.bridge import plan_weights
+        mgp = random_mgp(rng, 5, 6, epsilon=0.3)
+        batch = rng.normal(size=(9, 6))
+        seen = []
+
+        def recording_softmax(a, axis):
+            out = softmax(a, axis)
+            seen.append(out[0])
+            return out
+
+        monkeypatch.setattr(dpdl.losses, "softmax", recording_softmax)
+        dpdl.losses._partition_term(mgp, batch)
+        assert len(seen) == 1 and seen[0].tobytes() == plan_weights(mgp, batch).tobytes()
 
 
 class TestPosteriorMode:

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 from scipy.special import logsumexp as scipy_logsumexp
+from scipy.special import softmax as scipy_softmax
 from scipy.stats import norm
 
 from conftest import assert_close, random_params, traced_peak
 from dpdl.errors import ValidationError
 from dpdl.prototypes import (_ROW_BLOCK, MGP, MGPParams, _kmeans_pp_seed, _nearest_codewords,
                              _row_blocks, _row_norms, logsumexp, mgp_log_density, mgp_new,
-                             mgp_realize, vq_init)
+                             mgp_realize, softmax, vq_init)
 
 
 def same_bits(x, y) -> bool:
@@ -43,13 +44,11 @@ class TestLogsumexp:
             a = rng.normal(0.0, 1.0, 32) * 1e8 + 3e8
             assert same_bits(logsumexp(a), scipy_logsumexp(a))
 
-    @pytest.mark.parametrize("keepdims", [False, True])
-    def test_axis_one(self, rng, keepdims):
+    def test_axis_one(self, rng):
         a = rng.normal(0.0, 5.0, (7, 32))
         a[2, 3] = a[2].max()
         a[4, :] = 1.5
-        assert close_to_scipy(logsumexp(a, axis=1, keepdims=keepdims),
-                              scipy_logsumexp(a, axis=1, keepdims=keepdims))
+        assert close_to_scipy(logsumexp(a, axis=1), scipy_logsumexp(a, axis=1))
         assert close_to_scipy(logsumexp(a, axis=0), scipy_logsumexp(a, axis=0))
 
     def test_infinite_entries(self):
@@ -66,6 +65,47 @@ class TestLogsumexp:
             got = logsumexp(a, axis=1)
         assert same_bits(got[:4], np.array([-np.inf, np.inf, np.nan, np.inf]))
         assert close_to_scipy(got[4], scipy_logsumexp(a[4]))
+
+
+class TestSoftmax:
+    def inputs(self, rng):
+        a = rng.normal(0.0, 5.0, (40, 32))
+        a[1, 3] = a[1].max()
+        a[2, :] = 1.5
+        a[3] = rng.normal(0.0, 1.0, 32) * 1e7 + 5e7
+        a[3, 5:9] = a[3, 0]                     # tied maxima near 5e7, as at eps = 1e-3
+        a[4, ::3] = -np.inf
+        return a
+
+    def test_rows_on_the_simplex(self, rng):
+        weights, _ = softmax(self.inputs(rng), axis=1)
+        assert np.all(weights >= 0)
+        assert np.max(np.abs(weights.sum(axis=1) - 1.0)) <= 1e-12
+        weights, _ = softmax(self.inputs(rng).T, axis=0)
+        assert np.max(np.abs(weights.sum(axis=0) - 1.0)) <= 1e-12
+
+    def test_logsumexp_is_logsumexp(self, rng):
+        a = self.inputs(rng)
+        assert same_bits(softmax(a, axis=1)[1], logsumexp(a, axis=1))
+        assert same_bits(softmax(a, axis=0)[1], logsumexp(a, axis=0))
+        assert same_bits(softmax(a[0], axis=0)[1][()], logsumexp(a[0]))
+
+    def test_minus_infinity_gets_weight_zero(self, rng):
+        # The dispersion loss's Gram matrix has -inf on its diagonal.
+        units = rng.normal(size=(6, 5))
+        gram = 2.0 * (units @ units.T)
+        np.fill_diagonal(gram, -np.inf)
+        with np.errstate(all="raise"):
+            weights, lse = softmax(gram, axis=1)
+        assert np.all(np.diag(weights) == 0.0)
+        assert np.max(np.abs(weights.sum(axis=1) - 1.0)) <= 1e-12
+        assert np.all(np.isfinite(lse))
+
+    def test_matches_scipy(self, rng):
+        a = self.inputs(rng)
+        want = scipy_softmax(a, axis=1)
+        got = softmax(a, axis=1)[0]
+        assert np.all(np.abs(got - want) <= 4 * np.spacing(np.maximum(want, np.finfo(float).tiny)))
 
 
 class TestRealized:

@@ -446,6 +446,19 @@ class TestTrainLoop:
                           protocol="general", m=0, seed=0)
         with pytest.raises(ValidationError):
             train(ds, empty, tiny_config())
+        # Items 0-11 are normals and 12-15 anomalies.
+        swapped = SplitPlan(train_normal_ids=(12, 13, 14), train_anomaly_ids=(0, 1), test_ids=(15,),
+                            protocol="general", m=2, seed=0)
+        with pytest.raises(ValidationError, match="item 12 a training normal, but its label is 1"):
+            train(ds, swapped, tiny_config(n_prototypes=2))
+        mislabelled = SplitPlan(train_normal_ids=tuple(range(2, 12)), train_anomaly_ids=(12, 0),
+                                test_ids=(1,), protocol="general", m=2, seed=0)
+        with pytest.raises(ValidationError, match="item 0 a training anomaly, but its label is 0"):
+            train(ds, mislabelled, tiny_config())
+        small = SplitPlan(train_normal_ids=(0, 1, 2), train_anomaly_ids=(12,), test_ids=(3,),
+                          protocol="general", m=1, seed=0)
+        with pytest.raises(ValidationError, match="n_prototypes 4 exceeds the 3 training normals"):
+            train(ds, small, tiny_config())
 
 
 def per_item_mean(loss_fn):
