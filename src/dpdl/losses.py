@@ -33,6 +33,7 @@ against central finite differences.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,10 +68,23 @@ class DPLStep:
 
 @dataclass(frozen=True)
 class DFLLoss:
-    """Scalar dispersion loss and its tangent gradient at the unit inputs."""
+    """Scalar dispersion loss and its tangent gradient at the unit inputs.
+
+    The gradient is computed when ``grad`` is first read, from the unit rows
+    and the similarity weights the value was computed with; the rows must
+    not change before then.
+    """
 
     value: float
-    grad: np.ndarray
+    units: np.ndarray
+    weights: np.ndarray
+    kappa: float
+
+    @functools.cached_property
+    def grad(self) -> np.ndarray:
+        grad = (self.kappa / len(self.units)) * ((self.weights + self.weights.T) @ self.units)
+        grad -= np.sum(grad * self.units, axis=1, keepdims=True) * self.units
+        return grad
 
 
 def _check_batch(mgp: MGP, batch: np.ndarray) -> np.ndarray:
@@ -207,6 +221,4 @@ def loss_dfl(units: np.ndarray, kappa: float) -> DFLLoss:
     np.fill_diagonal(gram, -np.inf)
     beta, row_lse = softmax(gram, axis=1)                   # rows sum to 1, diag 0
     value = float(np.mean(row_lse)) - float(np.log(u - 1))
-    grad = (kappa / u) * ((beta + beta.T) @ units)
-    grad -= np.sum(grad * units, axis=1, keepdims=True) * units
-    return DFLLoss(value=value, grad=grad)
+    return DFLLoss(value, units, beta, kappa)

@@ -252,8 +252,9 @@ def vq_init(features: np.ndarray, n_codewords: int, max_iters: int = 100,
     """Quantize feature vectors with k-means++ seeding and Lloyd updates.
 
     The seed and every Lloyd pass find distances with one kernel, from row
-    norms computed once per call, one row block at a time.  Empty clusters
-    are reseeded to the point farthest from its codeword.  Stops early once
+    norms computed once per call, one row block at a time.  After the first
+    pass, a pass re-averages only the clusters that gained or lost a row.
+    Empty clusters are reseeded to the point farthest from its codeword.  Stops early once
     assignments stop changing.  ValidationError names the argument at fault:
     a count or seed that is not an integer in range, or a feature row with
     a non-finite value.
@@ -273,14 +274,17 @@ def vq_init(features: np.ndarray, n_codewords: int, max_iters: int = 100,
     for _ in range(max_iters):
         new_assignment, dist2 = _nearest_codewords(x, x_sq, codebook)
         errors.append(float(np.mean(dist2)))
-        converged = bool(np.array_equal(new_assignment, assignment)) and len(errors) > 1
-        assignment = new_assignment
-        if converged:
+        moved = new_assignment != assignment
+        if len(errors) > 1 and not moved.any():
             break
+        # A cluster that neither gained nor lost a row keeps its rows in order,
+        # so its mean would come out with the bits it already has.
+        stale = np.full(n_codewords, len(errors) == 1)
+        stale[assignment[moved]] = stale[new_assignment[moved]] = True
+        assignment = new_assignment
         counts = np.bincount(assignment, minlength=n_codewords)
-        for k in range(n_codewords):
-            if counts[k] > 0:
-                codebook[k] = x[assignment == k].mean(axis=0)
+        for k in np.flatnonzero(stale & (counts > 0)):
+            codebook[k] = x[assignment == k].mean(axis=0)
         for k in np.flatnonzero(counts == 0):
             far = int(np.argmax(dist2))
             codebook[k] = x[far]

@@ -54,6 +54,13 @@ GRAD_CLIP_NORM = 10.0
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# Values per block of optimizer_step, so its passes over θ, the gradient and
+# the moments run in L2 cache.  One step at θ of 262k values (C = 32, D =
+# 4096; 2-core host, numpy 2.4.6, best 3 of 7 runs of 50 steps) took 2.1-2.5
+# ms in blocks of 2**15, 2.1-3.1 ms in blocks of 2**14 or 2**16, 2.5-2.7 ms in
+# blocks of 2**17, 2.7-2.9 ms in one block, and 5.7-5.8 ms as whole-vector
+# passes that each allocate a temporary.
+_STEP_BLOCK = 2 ** 15
 
 _CONFIG_ALIASES = {"lambda": "lambda_"}
 
@@ -175,18 +182,30 @@ def optimizer_step(theta: np.ndarray, grad: np.ndarray, state: OptimizerState, l
     if not grad.shape == theta.shape == (_size(state.layout),) or state.moments.shape != (2,) + theta.shape:
         raise ValidationError(f"θ {theta.shape}, gradient {grad.shape} or moments {state.moments.shape} misfit layout")
     total = np.sqrt(grad @ grad)
-    if total > GRAD_CLIP_NORM:
-        grad *= GRAD_CLIP_NORM / total
+    scale = GRAD_CLIP_NORM / total if total > GRAD_CLIP_NORM else None
     state.step += 1
     bc1 = 1.0 - ADAM_BETA1 ** state.step
     bc2 = 1.0 - ADAM_BETA2 ** state.step
-    m, v = state.moments
-    m *= ADAM_BETA1
-    m += (1.0 - ADAM_BETA1) * grad
-    v *= ADAM_BETA2
-    v += (1.0 - ADAM_BETA2) * grad * grad
-    update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS) + weight_decay * theta
-    theta -= learning_rate * update
+    # Each value's arithmetic is the whole-vector formula's, in its order, one
+    # cache-sized block at a time into two scratch blocks.
+    t1, t2 = np.empty(min(_STEP_BLOCK, len(theta))), np.empty(min(_STEP_BLOCK, len(theta)))
+    for start in range(0, len(theta), _STEP_BLOCK):
+        block = slice(start, start + _STEP_BLOCK)
+        g, m, v, th = grad[block], state.moments[0, block], state.moments[1, block], theta[block]
+        a, b = t1[:len(g)], t2[:len(g)]
+        if scale is not None:
+            g *= scale
+        m *= ADAM_BETA1
+        m += np.multiply(1.0 - ADAM_BETA1, g, out=a)
+        v *= ADAM_BETA2
+        np.multiply(1.0 - ADAM_BETA2, g, out=a)
+        v += np.multiply(a, g, out=a)
+        np.sqrt(np.divide(v, bc2, out=a), out=a)
+        a += ADAM_EPS
+        np.divide(m, bc1, out=b)
+        b /= a
+        b += np.multiply(weight_decay, th, out=a)
+        th -= np.multiply(learning_rate, b, out=b)
 
 
 @dataclass(frozen=True)
@@ -259,6 +278,10 @@ def train(dataset: Dataset, split: SplitPlan, config: TrainConfig,
         wrong = pool[dataset.labels[pool] != label]
         if wrong.size:
             raise ValidationError(f"split names item {wrong[0]} a training {role}, but its label is {1 - label}")
+    n_pseudo = int(np.floor(config.pseudo_anomaly_rate * config.batch_size))
+    if config.batch_size + min(len(anomaly_pool), MAX_ANOMALIES_PER_ITER) + n_pseudo < 2:
+        raise ValidationError(f"batch_size {config.batch_size} with no training anomaly and no pseudo-anomaly "
+                              "gives a step one row; the dispersion loss needs two")
 
     layout = _layout(config.n_prototypes, math.prod(dataset.dims), dataset.dims[2])
     if resume is None:
@@ -285,7 +308,6 @@ def train(dataset: Dataset, split: SplitPlan, config: TrainConfig,
     params, heads = _unpack(theta, layout, config)
     grad = np.empty_like(theta)
     g = _views(grad, layout)
-    n_pseudo = int(np.floor(config.pseudo_anomaly_rate * config.batch_size))
     log_rows: list[EpochLog] = []
 
     epoch = it = 0

@@ -180,6 +180,17 @@ class TestErrorPaths:
         assert rc == 1
         assert "learning_rate must be finite" in capsys.readouterr().err
 
+    def test_one_row_step_is_a_validation_error(self, workspace, capsys):
+        cfg = workspace / "one_row.cfg"
+        cfg.write_text(TRAIN_CFG.replace("batch_size = 4", "batch_size = 1"))
+        out = workspace / "one_row.ckpt"
+        rc = main(["train", "--data", str(workspace / "data.dpdlfeat"),
+                   "--protocol", "general", "--m", "0", "--seed", "0",
+                   "--config", str(cfg), "--out", str(out)])
+        assert rc == 1
+        assert "batch_size 1 " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_runs_rejected(self, workspace, capsys):
         rc = main(["eval", "--data", str(workspace / "data.dpdlfeat"),
                    "--protocol", "general", "--m", "1", "--runs", "0",

@@ -190,6 +190,22 @@ class TestDFL:
                 fd = (loss_dfl(up, kappa).value - loss_dfl(down, kappa).value) / (2 * h)
                 assert abs(out.grad[i, j] - fd) < 1e-5 * max(1.0, abs(fd))
 
+    # The gradient as loss_dfl computed it before it was deferred to the
+    # first read of ``grad``.
+    @pytest.mark.parametrize("u,d", [(2, 3), (7, 5), (25, 128)])
+    def test_deferred_gradient_equals_the_eager_formula(self, rng, u, d):
+        units = unitize(rng.normal(size=(u, d)))
+        kappa = 10.0
+        out = loss_dfl(units, kappa)
+        gram = kappa * (units @ units.T)
+        np.fill_diagonal(gram, -np.inf)
+        beta = np.exp(gram - gram.max(axis=1, keepdims=True))
+        beta /= beta.sum(axis=1, keepdims=True)
+        want = (kappa / u) * ((beta + beta.T) @ units)
+        want -= np.sum(want * units, axis=1, keepdims=True) * units
+        assert np.array_equal(out.grad.view(np.uint64), want.view(np.uint64))
+        assert out.grad is out.grad
+
     def test_gradient_is_tangent(self, rng):
         units = np.stack([unitize(v) for v in rng.normal(size=(4, 5))])
         out = loss_dfl(units, 2.0)

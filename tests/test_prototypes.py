@@ -337,27 +337,35 @@ class TestNearestCodewords:
         idx, _ = nearest(x, codebook)
         assert idx.tolist() == [1, 0, 1, 0]
 
-    @pytest.mark.parametrize("data", ["blobs", "copies"])
+    @pytest.mark.parametrize("data", ["blobs", "copies", "noise"])
     def test_vq_init_is_a_direct_distance_lloyd(self, data):
-        # Lloyd with (N, C, D) differences, seeded as vq_init seeds.  The
-        # copies are five small-integer points, exact in either form, so
-        # three of the eight codewords start as duplicates and their
-        # clusters come out empty.
+        # Lloyd with (N, C, D) differences, seeded as vq_init seeds, that
+        # re-averages every cluster on every pass.  The copies are five
+        # small-integer points, exact in either form, so three of the eight
+        # codewords start as duplicates and their clusters come out empty.
+        # On unclustered noise Lloyd takes several passes, and clusters that
+        # keep their rows while others move are not re-averaged by vq_init.
         rng = np.random.default_rng(11)
         if data == "blobs":
             centers = rng.normal(size=(6, 128)) * 3.0
             x = centers[rng.integers(0, 6, size=300)] + rng.normal(size=(300, 128))
-        else:
+        elif data == "copies":
             x = np.tile(rng.integers(-3, 4, size=(5, 128)).astype(np.float64), (60, 1))
+        else:
+            x = rng.normal(size=(200, 16))
         k, seed = 8, 4
         codebook = direct_kmeans_pp_seed(x, k, np.random.default_rng(seed))
         assignment = np.zeros(len(x), dtype=np.int64)
         reseeded = 0
+        kept = []   # per pass after the first that moved a row, the clusters that kept theirs
         for it in range(100):
             dist2 = direct_sq_dists(x, codebook)
             new = dist2.argmin(1)
             if it > 0 and np.array_equal(new, assignment):
                 break
+            if it > 0:
+                kept.append([j for j in range(k) if np.any(new == j)
+                             and np.array_equal(new == j, assignment == j)])
             assignment = new
             residual = dist2.min(1)
             for j in range(k):
@@ -369,7 +377,13 @@ class TestNearestCodewords:
                 residual[far] = -1.0
                 reseeded += 1
         init = vq_init(x, k, seed=seed)
-        assert it > 1 if data == "blobs" else reseeded == 3
+        if data == "blobs":
+            assert it > 1
+        elif data == "copies":
+            assert reseeded == 3
+        else:
+            assert it >= 4 and any(kept)
+        assert len(init.errors) == it + 1
         assert np.array_equal(init.assignment, assignment)
         assert np.array_equal(init.codebook, codebook)
 

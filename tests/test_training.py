@@ -124,6 +124,32 @@ class TestOptimizerStep:
         assert np.allclose(theta, ref, atol=1e-15)
         assert np.array_equal(state.exp_avg["x"], state.moments[0])
 
+    # The whole-vector AdamW, one numpy pass per operation, as optimizer_step
+    # ran it before it went block by block.  θ spans two full blocks and a
+    # part; clipped, the gradient's norm is about 256.
+    @pytest.mark.parametrize("scale", [1.0, 0.01])
+    def test_blocks_equal_the_one_pass_formula(self, rng, scale):
+        n = 2 * training._STEP_BLOCK + 7
+        lr, wd, b1, b2, eh = 0.05, 0.01, 0.9, 0.999, 1e-8
+        theta = rng.normal(size=n)
+        ref, m, v = theta.copy(), np.zeros(n), np.zeros(n)
+        state = fresh_state(n)
+        for t in range(1, 5):
+            g = rng.normal(size=n) * scale
+            grad = g.copy()
+            optimizer_step(theta, grad, state, lr, wd)
+            total = np.sqrt(g @ g)
+            assert (total > training.GRAD_CLIP_NORM) == (scale == 1.0)
+            if total > training.GRAD_CLIP_NORM:
+                g *= training.GRAD_CLIP_NORM / total
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            ref -= lr * ((m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eh) + wd * ref)
+            for got, want in ((grad, g), (theta, ref), (state.moments[0], m), (state.moments[1], v)):
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_shape_mismatches(self):
         theta = np.zeros(2)
         state = fresh_state(2)
@@ -459,6 +485,23 @@ class TestTrainLoop:
                           protocol="general", m=1, seed=0)
         with pytest.raises(ValidationError, match="n_prototypes 4 exceeds the 3 training normals"):
             train(ds, small, tiny_config())
+
+    def test_one_row_step_is_refused_before_the_fit(self, monkeypatch):
+        # One normal, no training anomaly and floor(0.25 * 1) = 0
+        # pseudo-anomalies: the dispersion loss of such a step has no pair.
+        def no_fit(*args, **kwargs):
+            raise AssertionError("vq_init ran")
+        monkeypatch.setattr(training, "vq_init", no_fit)
+        ds = tiny_dataset()
+        split = tiny_split(ds, n_train_anomalies=0)
+        with pytest.raises(ValidationError, match="batch_size 1 "):
+            train(ds, split, tiny_config(batch_size=1))
+        # A pseudo-anomaly or an observed anomaly makes the pair.
+        monkeypatch.undo()
+        for cfg, n_anomalies in ((tiny_config(batch_size=1, pseudo_anomaly_rate=1.0), 0),
+                                 (tiny_config(batch_size=1), 1)):
+            res = train(ds, tiny_split(ds, n_train_anomalies=n_anomalies), cfg)
+            assert res.checkpoint.opt.step == cfg.epochs * cfg.iters_per_epoch
 
 
 def per_item_mean(loss_fn):
