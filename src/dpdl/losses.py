@@ -14,13 +14,19 @@ over source points minus the log mixture density at target points, here
 the prototype means.  A training step adds the two, so S cancels exactly
 whenever the batch holds anomalies, and with pseudo-anomalies in every
 default batch that is every step: what is descended is P_n - P_a, normal
-partitions against anomalous ones.  S acts only on batches of normals
-alone.  ``loss_dpl`` computes the step's sum once, on the mixture the
-step has already realized, and skips S's gradient when it cancels; S's
-value is still computed for the log.
+partitions against anomalous ones.  S acts only on batches of rows of
+one kind.  ``loss_dpl`` is the one kernel of both losses: it takes a
+stack of rows, the first n of them normal, on the mixture the caller has
+already realized, and skips S's gradient when it cancels; S's value is
+still computed for the log.  ``loss_dpl_normal`` and ``loss_dpl_anomaly``
+are that kernel on rows of one kind.
 
 P's responsibilities are the plan weights (``bridge.plan_weights``), one
-``prototypes.softmax`` of ``MGP.tilted_logits``.  Every mixture quadratic
+``prototypes.softmax`` of ``MGP.tilted_logits``, which a training step
+computes once for the residual head and both partition terms.  The
+gradient of P_n - P_a is then one pair of products of the rows with their
+plan weights, each row's weights scaled by +1/n on the n normal rows and
+-1/n_a on the n_a anomalous ones.  Every mixture quadratic
 comes from the realized mixture's expanded matrix-product forms
 (``MGP.tilted_logits``, ``MGP.sq_distances``), so memory stays
 O(C*D + N*D) and nothing of shape (C, C, D) or (N, C, D) is built.
@@ -38,6 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .configio import check_int
 from .errors import DegenerateInputError, ValidationError
 from .prototypes import MGP, MGPParams, _log_components, mgp_realize, softmax
 
@@ -56,7 +63,7 @@ class DPLLoss:
 class DPLStep:
     """A step's prototype loss: both terms' values and the gradient of their sum.
 
-    ``anomaly`` is 0 for a batch without anomalies.
+    ``normal`` is 0 for a batch without normals, ``anomaly`` for one without anomalies.
     """
 
     normal: float
@@ -85,26 +92,6 @@ class DFLLoss:
         grad = (self.kappa / len(self.units)) * ((self.weights + self.weights.T) @ self.units)
         grad -= np.sum(grad * self.units, axis=1, keepdims=True) * self.units
         return grad
-
-
-def _check_batch(mgp: MGP, batch: np.ndarray) -> np.ndarray:
-    batch = mgp.points(batch)
-    if batch.shape[0] < 1:
-        raise ValidationError(f"batch must be nonempty, got shape {batch.shape}")
-    return batch
-
-
-def _partition_term(mgp: MGP, batch: np.ndarray):
-    """P over the batch and its raw-parameter grads (a, m, s)."""
-    alpha, sigma = mgp.alpha, mgp.sigma
-    e = mgp.epsilon
-    n = batch.shape[0]
-    w, norms = softmax(mgp.tilted_logits(batch), axis=1)    # (N, C) responsibilities: the plan weights
-    value = float(np.mean(norms))
-    grad_a = w.mean(axis=0) - alpha
-    grad_m = w.T @ batch / (n * e)
-    grad_s = sigma * (w.T @ (batch * batch)) / (2.0 * n * e * e)
-    return value, (grad_a, grad_m, grad_s)
 
 
 def _self_likelihood(mgp: MGP):
@@ -143,43 +130,66 @@ def _self_likelihood_grads(mgp: MGP, q: np.ndarray):
     return grad_a, grad_m, grad_s
 
 
-def _minus(x, y):
-    return tuple(a - b for a, b in zip(x, y))
-
-
 def loss_dpl_normal(params: MGPParams, batch: np.ndarray) -> DPLLoss:
     """Prototype loss P - S for a batch of normal feature vectors.
 
     Descending it pulls normal mass toward the prototypes while keeping the
-    prototypes spread out.  It is ``loss_dpl`` without anomalies.
+    prototypes spread out.  It is ``loss_dpl`` of normal rows alone.
     """
-    step = loss_dpl(mgp_realize(params), batch)
+    step = loss_dpl(mgp_realize(params), batch, len(batch))
     return DPLLoss(step.normal, step.grad_a, step.grad_m, step.grad_s)
 
 
 def loss_dpl_anomaly(params: MGPParams, batch: np.ndarray) -> DPLLoss:
-    """Prototype loss S - P for a batch of anomalous feature vectors (sign-flipped)."""
-    mgp = mgp_realize(params)
-    p_value, p_grads = _partition_term(mgp, _check_batch(mgp, batch))
-    s_value, q = _self_likelihood(mgp)
-    return DPLLoss(s_value - p_value, *_minus(_self_likelihood_grads(mgp, q), p_grads))
+    """Prototype loss S - P for a batch of anomalous feature vectors (sign-flipped).
+    It is ``loss_dpl`` of anomalous rows alone."""
+    step = loss_dpl(mgp_realize(params), batch, 0)
+    return DPLLoss(step.anomaly, step.grad_a, step.grad_m, step.grad_s)
 
 
-def loss_dpl(mgp: MGP, normal: np.ndarray, anomaly: np.ndarray | None = None) -> DPLStep:
-    """loss_dpl_normal(normal) + loss_dpl_anomaly(anomaly) on the realized mixture, computed once.
+def loss_dpl(mgp: MGP, xs: np.ndarray, n_normal: int, plan=None, out=None) -> DPLStep:
+    """loss_dpl_normal of rows xs[:n_normal] plus loss_dpl_anomaly of the rest,
+    on the realized mixture, computed once.
 
-    Gradients are with respect to the unconstrained parameters that
-    ``mgp`` was realized from.  With anomalies the two S terms cancel, so
-    only the two partitions are differentiated; without them (``anomaly``
-    None) this is loss_dpl_normal alone.
+    Gradients are with respect to the unconstrained parameters that ``mgp``
+    was realized from.  P's gradient is one pair of products of the rows
+    with their plan weights, each row's weights scaled by +1/n on the n
+    normal rows and -1/n_a on the n_a anomalous ones.  With rows of both
+    kinds the two S terms cancel, so S is not differentiated.  ``plan``, if
+    the caller holds it, is ``softmax(mgp.tilted_logits(xs), axis=1)``: the
+    rows' plan weights and log-partitions.  ``out``, if given, is three
+    arrays shaped like a, m and s that receive the gradient.
     """
-    n_value, n_grads = _partition_term(mgp, _check_batch(mgp, normal))
+    xs = mgp.points(xs)
+    check_int("n_normal", n_normal, 0, len(xs))
+    if not len(xs):
+        raise ValidationError(f"batch must be nonempty, got shape {xs.shape}")
+    w, norms = softmax(mgp.tilted_logits(xs), axis=1) if plan is None else plan
+    if w.shape != norms.shape + (mgp.n_components,) or len(w) != len(xs):
+        raise ValidationError(f"plan of shapes {w.shape} and {norms.shape} does not fit {len(xs)} rows")
+    n_anomaly = len(xs) - n_normal
     s_value, q = _self_likelihood(mgp)
-    if anomaly is None:
-        grads = _minus(n_grads, _self_likelihood_grads(mgp, q))
-        return DPLStep(n_value - s_value, 0.0, *grads)
-    a_value, a_grads = _partition_term(mgp, _check_batch(mgp, anomaly))
-    return DPLStep(n_value - s_value, s_value - a_value, *_minus(n_grads, a_grads))
+    normal = float(np.mean(norms[:n_normal])) - s_value if n_normal else 0.0
+    anomaly = s_value - float(np.mean(norms[n_normal:])) if n_anomaly else 0.0
+
+    rows = np.empty(len(xs))
+    rows[:n_normal] = 1.0 / max(n_normal, 1)
+    rows[n_normal:] = -1.0 / max(n_anomaly, 1)
+    weighted = (w * rows[:, None]).T                        # (C, B)
+    side = int(n_normal > 0) - int(n_anomaly > 0)           # the sign of P's alpha term, and of -S
+    e = mgp.epsilon
+    grad_a, grad_m, grad_s = out if out is not None else (np.empty_like(mgp.alpha), np.empty_like(mgp.mu),
+                                                          np.empty_like(mgp.mu))
+    np.subtract(weighted.sum(axis=1), side * mgp.alpha, out=grad_a)
+    np.matmul(weighted, xs, out=grad_m)
+    grad_m /= e
+    np.matmul(weighted, xs * xs, out=grad_s)
+    grad_s *= mgp.sigma
+    grad_s /= 2.0 * e * e
+    if side:
+        for grad, s_grad in zip((grad_a, grad_m, grad_s), _self_likelihood_grads(mgp, q)):
+            grad -= s_grad if side > 0 else -s_grad
+    return DPLStep(normal, anomaly, grad_a, grad_m, grad_s)
 
 
 def unitize(x: np.ndarray) -> np.ndarray:

@@ -269,26 +269,32 @@ def residual_grid(mgp: MGP, fm, residual_scale: str = "std") -> np.ndarray:
     return out[0] if _is_one(fm) else out
 
 
-def _residuals(mgp: MGP, grids: np.ndarray, residual_scale: str) -> np.ndarray:
-    """``residual_grid`` of a checked float64 (B, H, W, d) stack."""
+def _residuals(mgp: MGP, grids: np.ndarray, residual_scale: str, weights=None) -> np.ndarray:
+    """``residual_grid`` of a checked float64 (B, H, W, d) stack, from its
+    rows' ``plan_weights`` if the caller holds them."""
     if residual_scale not in RESIDUAL_SCALES:
         raise ValidationError(f"residual_scale must be one of {RESIDUAL_SCALES}, got {residual_scale!r}")
     xs = grids.reshape(grids.shape[0], -1)
-    psis = plan_endpoints(mgp, plan_weights(mgp, xs), xs)
+    if weights is None:
+        weights = plan_weights(mgp, xs)
+    elif weights.shape != (len(xs), mgp.n_components):
+        raise ValidationError(f"plan weights of shape {weights.shape} do not fit {len(xs)} rows")
+    psis = plan_endpoints(mgp, weights, xs)
     c = posterior_mode_indices(mgp, psis)
     denom = np.sqrt(mgp.sigma[c]) if residual_scale == "std" else mgp.sigma[c]
     return ((psis - mgp.mu[c]) / denom).reshape(grids.shape)
 
 
 def head_loss_residual(heads: ScoringHeads, mgp: MGP, fms, labels,
-                       residual_scale: str = "std") -> HeadLoss:
+                       residual_scale: str = "std", weights=None) -> HeadLoss:
     """Batch-mean BCE of the top-K pooled residual-head scores against the labels.
 
     Gradients are taken with respect to the head only; the residual grids
-    are treated as fixed inputs.
+    are treated as fixed inputs.  ``weights``, if the caller holds them, are
+    the rows' ``plan_weights``.
     """
     grids = _batch_of(fms, mgp.dim, heads.channels)
-    return _pooled_bce(heads.residual, _residuals(mgp, grids, residual_scale), labels,
+    return _pooled_bce(heads.residual, _residuals(mgp, grids, residual_scale, weights), labels,
                        heads.topk_fraction)
 
 

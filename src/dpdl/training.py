@@ -4,17 +4,20 @@ One optimizer step per iteration updates the prototype parameters and the
 three scoring heads jointly.  Batches mix sampled normal items, the
 observed training anomalies (all of them while there are at most ten), and
 rectangle-paste pseudo-anomalies; a step stacks them into one
-(B, H, W, d) array and makes one call per loss over it.  The dispersion
-loss is computed on the unit-normalized batch features and contributes to
-the reported total; gradients flow into the prototype parameters only
-through the two prototype losses, and into each head only through its own
-loss.
+(B, H, W, d) array and makes one call per loss over it.  The rows' plan
+weights are computed once per step, for the residual head and both
+prototype losses.  The dispersion loss is computed on the unit-normalized
+batch features and contributes only its value, to the reported total: its
+gradient reaches no parameter, so the step never computes it.  Gradients
+flow into the prototype parameters only through the two prototype losses,
+and into each head only through its own loss.
 
 The trained state is four float64 vectors laid out by ``_PARAM_TABLE``:
 the parameters θ, their gradient and AdamW's two moments.  The prototype
 parameters, the heads and the named moments are views into them, and each
 loss writes its gradient into the gradient's views by name; the gradient
-clip and AdamW are one ``optimizer_step`` over the vectors.
+clip and AdamW are one ``optimizer_step`` over the vectors, run block by
+block.
 
 A checkpoint (magic ``DPDLCKPT``, version 3) is a little-endian
 ``_CKPT_HEADER`` holding the dimensions the table takes beyond the config,
@@ -39,7 +42,7 @@ from .configio import check_field_values, check_int, coerce_fields, parse_kv_fil
 from .errors import CorruptionError, FormatError, NumericError, ValidationError
 from .features import LABEL_ANOMALY, LABEL_NORMAL, Dataset, SplitPlan, checked_ids, cutmix_rectangle
 from .losses import loss_dfl, loss_dpl, unitize
-from .prototypes import MGPParams, mgp_new, mgp_realize, vq_init
+from .prototypes import MGPParams, mgp_new, mgp_realize, softmax, vq_init
 from .scoring import (RESIDUAL_SCALES, LinearHead, ScoringHeads, head_loss_anomaly,
                       head_loss_normal, head_loss_residual)
 
@@ -319,15 +322,17 @@ def train(dataset: Dataset, split: SplitPlan, config: TrainConfig,
                     grids, labels = _draw_batch(dataset, normal_pool, anomaly_pool, config.batch_size,
                                                 n_pseudo, rng)
                     mgp = mgp_realize(params)
+                    flats = grids.reshape(len(grids), -1)
+                    # The rows' plan weights and log-partitions, for the residual head and both
+                    # partition terms.
+                    plan = softmax(mgp.tilted_logits(flats), axis=1)
                     ha = head_loss_anomaly(heads, grids, labels)
                     hn = head_loss_normal(heads, grids, labels)
-                    hr = head_loss_residual(heads, mgp, grids, labels, residual_scale=config.residual_scale)
+                    hr = head_loss_residual(heads, mgp, grids, labels, residual_scale=config.residual_scale,
+                                            weights=plan[0])
                     l_ma, l_mn, l_mr = ha.value, hn.value, hr.value
 
-                    flats = grids.reshape(len(grids), -1)
-                    anomalous = flats[config.batch_size:]
-                    dpl = loss_dpl(mgp, flats[:config.batch_size], anomalous if len(anomalous) else None)
-                    g["a"][...], g["m"][...], g["s"][...] = dpl.grad_a, dpl.grad_m, dpl.grad_s
+                    dpl = loss_dpl(mgp, flats, config.batch_size, plan, out=(g["a"], g["m"], g["s"]))
                     for h, loss in zip("anr", (ha, hn, hr)):
                         g[f"w_{h}"][...], g[f"b_{h}"][...] = loss.grad_w, loss.grad_b
 

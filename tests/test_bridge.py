@@ -185,8 +185,9 @@ class TestPlanWeightsAndMeans:
             return out
 
         monkeypatch.setattr(dpdl.losses, "softmax", recording_softmax)
-        dpdl.losses._partition_term(mgp, batch)
-        assert len(seen) == 1 and seen[0].tobytes() == plan_weights(mgp, batch).tobytes()
+        dpdl.losses.loss_dpl(mgp, batch, len(batch))
+        # The second softmax is the self-likelihood's.
+        assert len(seen) == 2 and seen[0].tobytes() == plan_weights(mgp, batch).tobytes()
 
 
 class TestPosteriorMode:

@@ -4,7 +4,8 @@ import pytest
 from conftest import assert_close, fd_check_array, random_params, traced_peak
 from dpdl.errors import DegenerateInputError, ValidationError
 from dpdl.losses import loss_dfl, loss_dpl, loss_dpl_anomaly, loss_dpl_normal, unitize
-from dpdl.prototypes import MGPParams, mgp_realize
+from dpdl.prototypes import MGPParams, mgp_realize, softmax
+from dpdl.scoring import _residuals, residual_grid
 
 
 class TestDPLSpotValues:
@@ -76,6 +77,14 @@ class TestDPLGradients:
 
 
 class TestFusedDPL:
+    # The stacked rows' tilted logits come from one product over all of
+    # them, where each public loss takes one over its own rows, and BLAS may
+    # round a product differently with its row count; the gradients also sum
+    # the two sides in one product.  So they agree to rounding: up to 2.7e-16
+    # of each array's largest magnitude was seen, and 1e-12 is the bound.  The
+    # logit gradient's terms are weights of at most 1, so its rounding is
+    # relative to 1: with one component both sides' exact zeros stack to
+    # 1 - 3 * (1/3) = 1.1e-16.
     @pytest.mark.parametrize("trial", range(6))
     def test_equals_sum_of_public_losses(self, trial):
         rng = np.random.default_rng(100 + trial)
@@ -83,18 +92,20 @@ class TestFusedDPL:
         params = random_params(rng, c, d, epsilon=(0.3, 1.0, 2.0)[trial % 3])
         normal = rng.normal(size=(4, d))
         anomaly = rng.normal(0.5, 1.0, (3, d))
-        step = loss_dpl(mgp_realize(params), normal, anomaly)
+        step = loss_dpl(mgp_realize(params), np.concatenate([normal, anomaly]), 4)
         n = loss_dpl_normal(params, normal)
         a = loss_dpl_anomaly(params, anomaly)
-        assert step.normal == n.value
-        assert step.anomaly == a.value
+        assert_close(step.normal, n.value)
+        assert_close(step.anomaly, a.value)
         for name in ("grad_a", "grad_m", "grad_s"):
-            assert_close(getattr(step, name), getattr(n, name) + getattr(a, name))
+            got, want = getattr(step, name), getattr(n, name) + getattr(a, name)
+            scale = max(np.max(np.abs(got)), np.max(np.abs(want)), 1.0 if name == "grad_a" else 0.0)
+            assert np.max(np.abs(got - want)) <= 1e-12 * scale
 
     def test_without_anomalies_is_the_normal_loss(self, rng):
         params = random_params(rng, 6, 11, epsilon=0.8)
         normal = rng.normal(size=(5, 11))
-        step = loss_dpl(mgp_realize(params), normal)
+        step = loss_dpl(mgp_realize(params), normal, 5)
         n = loss_dpl_normal(params, normal)
         assert step.normal == n.value
         assert step.anomaly == 0.0
@@ -104,9 +115,15 @@ class TestFusedDPL:
     def test_validates_both_batches(self, rng):
         mgp = mgp_realize(random_params(rng, 2, 3))
         with pytest.raises(ValidationError):
-            loss_dpl(mgp, np.zeros((0, 3)))
+            loss_dpl(mgp, np.zeros((0, 3)), 0)
         with pytest.raises(ValidationError):
-            loss_dpl(mgp, np.zeros((2, 3)), np.zeros((2, 4)))
+            loss_dpl(mgp, np.zeros((2, 4)), 1)
+        for n_normal in (-1, 3, 1.0):
+            with pytest.raises(ValidationError, match="n_normal"):
+                loss_dpl(mgp, np.zeros((2, 3)), n_normal)
+        plan = softmax(mgp.tilted_logits(np.zeros((3, 3))), axis=1)
+        with pytest.raises(ValidationError, match="plan"):
+            loss_dpl(mgp, np.zeros((2, 3)), 1, plan)
 
     def test_memory_is_linear_in_prototypes_times_dimension(self):
         # The (C, C, D) form of the self-likelihood needs C*C*D*8 bytes, 67 MB
@@ -115,10 +132,36 @@ class TestFusedDPL:
         rng = np.random.default_rng(5)
         params = random_params(rng, c, d, epsilon=1e-3)
         normal = rng.normal(size=(n, d))
-        anomaly = rng.normal(size=(4, d))
-        for batches in ((normal,), (normal, anomaly)):
-            _, peak = traced_peak(lambda: loss_dpl(mgp_realize(params), *batches))
+        stacked = np.concatenate([normal, rng.normal(size=(4, d))])
+        for xs in (normal, stacked):
+            _, peak = traced_peak(lambda: loss_dpl(mgp_realize(params), xs, n))
             assert peak < 16 * c * d * 8
+
+
+class TestSharedPlan:
+    # A training step computes the batch's plan weights once and hands them
+    # to the residual head and to the partition terms.
+    @pytest.mark.parametrize("n_normal", [0, 3, 5])
+    def test_loss_dpl_from_the_plan_and_into_out(self, rng, n_normal):
+        mgp = mgp_realize(random_params(rng, 4, 12, epsilon=0.05))
+        xs = rng.normal(size=(5, 12))
+        own = loss_dpl(mgp, xs, n_normal)
+        out = (np.full(4, np.nan), np.full((4, 12), np.nan), np.full((4, 12), np.nan))
+        shared = loss_dpl(mgp, xs, n_normal, softmax(mgp.tilted_logits(xs), axis=1), out=out)
+        assert (shared.normal, shared.anomaly) == (own.normal, own.anomaly)
+        for name, target in zip(("grad_a", "grad_m", "grad_s"), out):
+            assert getattr(shared, name) is target
+            assert target.tobytes() == getattr(own, name).tobytes()
+
+    @pytest.mark.parametrize("scale", ["std", "var"])
+    def test_residuals_from_the_plan_equal_residual_grid(self, rng, scale):
+        mgp = mgp_realize(random_params(rng, 6, 2 * 2 * 5, epsilon=1e-3))
+        grids = rng.normal(size=(7, 2, 2, 5))
+        weights = softmax(mgp.tilted_logits(grids.reshape(7, -1)), axis=1)[0]
+        got = _residuals(mgp, grids, scale, weights)
+        assert got.tobytes() == residual_grid(mgp, grids, scale).tobytes()
+        with pytest.raises(ValidationError, match="plan weights"):
+            _residuals(mgp, grids[:3], scale, weights)
 
 
 class TestUnitize:

@@ -508,8 +508,9 @@ def per_item_mean(loss_fn):
     """Reference for a batched head loss: one call per item, then the batch mean.
 
     This is the loop a training step ran before it made one call per batch.
+    Each item's call computes its own plan weights, not the step's.
     """
-    def looped(heads, *args, **kwargs):
+    def looped(heads, *args, weights=None, **kwargs):
         *lead, grids, labels = args
         parts = [loss_fn(heads, *lead, grid, int(y), **kwargs) for grid, y in zip(grids, labels)]
         n = len(parts)
