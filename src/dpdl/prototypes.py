@@ -254,10 +254,10 @@ def vq_init(features: np.ndarray, n_codewords: int, max_iters: int = 100,
     The seed and every Lloyd pass find distances with one kernel, from row
     norms computed once per call, one row block at a time.  After the first
     pass, a pass re-averages only the clusters that gained or lost a row.
-    Empty clusters are reseeded to the point farthest from its codeword.  Stops early once
-    assignments stop changing.  ValidationError names the argument at fault:
-    a count or seed that is not an integer in range, or a feature row with
-    a non-finite value.
+    Empty clusters are reseeded to the point farthest from its codeword.
+    Stops early once assignments stop changing.  ValidationError names the
+    argument at fault: a count or seed that is not an integer in range, or a
+    feature row with a non-finite value.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 1:

@@ -191,11 +191,11 @@ def optimizer_step(theta: np.ndarray, grad: np.ndarray, state: OptimizerState, l
     bc2 = 1.0 - ADAM_BETA2 ** state.step
     # Each value's arithmetic is the whole-vector formula's, in its order, one
     # cache-sized block at a time into two scratch blocks.
-    t1, t2 = np.empty(min(_STEP_BLOCK, len(theta))), np.empty(min(_STEP_BLOCK, len(theta)))
+    scratch = np.empty((2, min(_STEP_BLOCK, len(theta))))
     for start in range(0, len(theta), _STEP_BLOCK):
         block = slice(start, start + _STEP_BLOCK)
         g, m, v, th = grad[block], state.moments[0, block], state.moments[1, block], theta[block]
-        a, b = t1[:len(g)], t2[:len(g)]
+        a, b = scratch[:, :len(g)]
         if scale is not None:
             g *= scale
         m *= ADAM_BETA1
