@@ -40,11 +40,8 @@ def _as_point(mgp: MGP, x: np.ndarray) -> np.ndarray:
 
 def log_partition(mgp: MGP, x: np.ndarray) -> float:
     """log of the tilted-mixture normalizer at source point x: the
-    logsumexp of ``MGP.tilted_logits`` there.  A weight that underflowed to
-    0 has log weight -inf, the right value, so its divide warning is
-    silenced."""
-    with np.errstate(divide="ignore"):
-        return float(logsumexp(mgp.tilted_logits(_as_point(mgp, x)[None])[0]))
+    logsumexp of ``MGP.tilted_logits`` there."""
+    return float(logsumexp(mgp.tilted_logits(_as_point(mgp, x)[None])[0]))
 
 
 @dataclass(frozen=True)
@@ -66,21 +63,24 @@ class CondGMM:
 
 
 def plan_weights(mgp: MGP, xs: np.ndarray) -> np.ndarray:
-    """Conditional-plan weights (B, C) at source points xs (B, D) checked by ``MGP.points``.
+    """Conditional-plan weights (..., C) at source points xs (..., D) checked by ``MGP.points``.
 
-    Row b is the ``softmax`` of the tilted logits at xs[b].
+    Each row is the ``softmax`` of the tilted logits at its point.
     """
-    return softmax(mgp.tilted_logits(xs), axis=1)[0]
+    return softmax(mgp.tilted_logits(xs), axis=-1)[0]
 
 
 def plan_endpoints(mgp: MGP, weights: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Means (B, D) of the conditional plans with ``weights`` (B, C) at ``xs`` (B, D).
+    """Means (..., D) of the conditional plans with ``weights`` (..., C) at ``xs`` (..., D).
 
     By linearity sum_c w_c (mu_c + sigma_c * x / eps) is
-    (w @ mu) + (w @ sigma) * x / eps, so the (B, C, D) component means are
+    (x / eps) * (w @ sigma) + (w @ mu), so the (B, C, D) component means are
     never formed.
     """
-    return weights @ mgp.mu + (weights @ mgp.sigma) * (xs / mgp.epsilon)
+    psis = xs / mgp.epsilon
+    psis *= weights @ mgp.sigma
+    psis += weights @ mgp.mu
+    return psis
 
 
 def conditional_plan(mgp: MGP, x: np.ndarray) -> CondGMM:
@@ -88,12 +88,10 @@ def conditional_plan(mgp: MGP, x: np.ndarray) -> CondGMM:
 
     The weights are the normalized tilted masses (``plan_weights``);
     component c shifts its mean to mu_c + sigma_c * x / eps and keeps
-    variance sigma_c.  A weight that underflowed to 0 has log weight -inf
-    and plan weight 0, the right values, so its divide warning is silenced.
+    variance sigma_c.  A weight that underflowed to 0 has plan weight 0.
     """
     x = _as_point(mgp, x)
-    with np.errstate(divide="ignore"):
-        weights = plan_weights(mgp, x[None, :])[0]
+    weights = plan_weights(mgp, x[None, :])[0]
     return CondGMM(weights=weights,
                    means=mgp.mu + mgp.sigma * (x / mgp.epsilon)[None, :],
                    variances=mgp.sigma.copy(), x=x)
@@ -113,7 +111,7 @@ def sample_endpoint(cond: CondGMM, rng: np.random.Generator | None = None) -> np
 
 
 def posterior_mode_indices(mgp: MGP, psis: np.ndarray) -> np.ndarray:
-    """Per row of psis (B, D), checked by ``MGP.points``, the index of the component densest there.
+    """Per row of psis (..., D), checked by ``MGP.points``, the index of the component densest there.
 
     Minimizes sum_d (psi - mu)^2 / sigma + log sigma (``MGP.sq_distances``
     plus the log-determinant), so only (B, C) arrays are built.  Mixture
@@ -121,7 +119,7 @@ def posterior_mode_indices(mgp: MGP, psis: np.ndarray) -> np.ndarray:
     """
     energy = mgp.sq_distances(psis)
     energy += mgp.sum_log_sigma
-    return np.argmin(energy, axis=1)
+    return np.argmin(energy, axis=-1)
 
 
 def posterior_mode_index(mgp: MGP, psi: np.ndarray) -> int:
@@ -137,15 +135,11 @@ def _time_posterior(mgp: MGP, xs: np.ndarray, t: float):
     and variance tau*sigma_c/v_c.  The logits log alpha - sum log v / 2
     + x.(mu/v) - t sum mu^2/v / 2 + x^2.(sigma/(tau v)) / 2 are (B, D) @ (D, C)
     products; at t = 0 they are ``MGP.tilted_logits`` up to a constant.
-    A weight that underflowed to 0 has log weight -inf, the right value, so
-    its divide warning is silenced.
     """
     tau = mgp.epsilon * (1.0 - t)
     v = t * mgp.sigma + tau
     mu_over_v = mgp.mu / v
-    with np.errstate(divide="ignore"):
-        log_alpha = np.log(mgp.alpha)
-    logits = (log_alpha
+    logits = (mgp.log_alpha
               - 0.5 * np.sum(np.log(v), axis=1)
               - (0.5 * t) * np.sum(mgp.mu * mu_over_v, axis=1)
               + xs @ mu_over_v.T

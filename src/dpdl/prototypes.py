@@ -65,7 +65,8 @@ def softmax(a, axis):
     a = np.asarray(a, dtype=np.float64)
     a_max = a.max(axis=axis, keepdims=True)
     shift = np.where(np.isfinite(a_max), a_max, 0.0)
-    exps = np.exp(a - shift)
+    exps = a - shift
+    np.exp(exps, out=exps)
     total = exps.sum(axis=axis, keepdims=True)
     exps /= total
     return exps, (np.log(total) + shift).squeeze(axis)
@@ -135,9 +136,22 @@ class MGP:
         return self.mu.shape[1]
 
     @functools.cached_property
+    def log_alpha(self) -> np.ndarray:
+        """log(alpha), computed once per realized mixture.  A weight that
+        underflowed to 0 has log weight -inf, the right value, so its divide
+        warning is silenced."""
+        with np.errstate(divide="ignore"):
+            return np.log(self.alpha)
+
+    @functools.cached_property
     def log_sigma(self) -> np.ndarray:
         """log(sigma), computed once per realized mixture."""
         return np.log(self.sigma)
+
+    @functools.cached_property
+    def sqrt_sigma(self) -> np.ndarray:
+        """sqrt(sigma), the per-component standard deviations, computed once per realized mixture."""
+        return np.sqrt(self.sigma)
 
     @functools.cached_property
     def inv_sigma(self) -> np.ndarray:
@@ -169,23 +183,32 @@ class MGP:
         return xs
 
     def tilted_logits(self, xs: np.ndarray) -> np.ndarray:
-        """Tilted log masses (B, C) at source points xs (B, D).
+        """Tilted log masses (..., C) at source points xs (..., D).
 
         Component c contributes log alpha_c + x.mu_c/eps + x.(sigma_c*x)/(2 eps^2),
-        the log moment-generating function of N(mu_c, diag sigma_c) at x/eps.
+        the log moment-generating function of N(mu_c, diag sigma_c) at x/eps,
+        summed in that order.  Each product is (B, D) @ (D, C) per leading index.
         """
         e = self.epsilon
-        return np.log(self.alpha) + (xs @ self.mu.T) / e + ((xs * xs) @ self.sigma.T) / (2.0 * e * e)
+        logits = xs @ self.mu.T
+        logits /= e
+        logits += self.log_alpha
+        quad = (xs * xs) @ self.sigma.T
+        quad /= 2.0 * e * e
+        logits += quad
+        return logits
 
     def sq_distances(self, ys: np.ndarray) -> np.ndarray:
-        """sum_d (y - mu_c)^2 / sigma_c (B, C) at points ys (B, D).
+        """sum_d (y - mu_c)^2 / sigma_c (..., C) at points ys (..., D).
 
         Expanded as y^2 @ (1/sigma)^T - 2 y @ (mu/sigma)^T + sum mu*(mu/sigma),
         so nothing of shape (B, C, D) is built.  Cancellation can leave
         rounding-sized negatives where y sits on a mean.
         """
         d2 = (ys * ys) @ self.inv_sigma.T
-        d2 -= 2.0 * (ys @ self.mu_over_sigma.T)
+        cross = ys @ self.mu_over_sigma.T
+        cross *= 2.0
+        d2 -= cross
         d2 += self.sum_mu_mu_over_sigma
         return d2
 
@@ -218,19 +241,17 @@ def mgp_realize(params: MGPParams) -> MGP:
 def _log_components(mgp: MGP, sq: np.ndarray) -> np.ndarray:
     """log alpha_k + log N(y; mu_k, diag sigma_k) (N, C) from the distances
     sq = sum_d (y - mu_k)^2 / sigma_k (N, C) of each point y to each component k."""
-    return np.log(mgp.alpha) - 0.5 * (mgp.dim * _LOG_2PI + mgp.sum_log_sigma + sq)
+    return mgp.log_alpha - 0.5 * (mgp.dim * _LOG_2PI + mgp.sum_log_sigma + sq)
 
 
 def mgp_log_density(mgp: MGP, points: np.ndarray) -> np.ndarray:
     """Mixture log density (N,) at a batch of points (N, D).
 
     Built on ``MGP.sq_distances`` clipped at zero, so nothing of shape
-    (N, C, D) is formed.  A weight that underflowed to 0 has log weight
-    -inf, the right value, so its divide warning is silenced.
+    (N, C, D) is formed.
     """
     sq = np.maximum(mgp.sq_distances(mgp.points(points)), 0.0)
-    with np.errstate(divide="ignore"):
-        return logsumexp(_log_components(mgp, sq), axis=1)
+    return logsumexp(_log_components(mgp, sq), axis=1)
 
 
 @dataclass(frozen=True)

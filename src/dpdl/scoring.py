@@ -12,9 +12,12 @@ them once against the call's model; the kernels behind it trust them.
 Head losses are binary cross-entropy on logits, averaged over a
 (B, H, W, d) batch in one call; their gradients flow only through the
 selected top-K cells, with ties broken toward lower flat indices so
-training is deterministic.  Scoring runs in zero-padded passes whose row
-count ``pass_rows`` takes from the model's D and C, so a score does not
-depend on the items beside it.
+training is deterministic.  Scoring runs in passes whose row count
+``pass_rows`` takes from the model's D and C, so a score does not depend on
+the items beside it, and scores a group of whole passes per kernel call:
+every matrix product becomes a stacked product, which numpy computes as one
+BLAS call per pass at the pass's shape, so the per-call overhead and the
+streaming of the (C, D) mixture tables are paid once per group.
 """
 
 from __future__ import annotations
@@ -63,7 +66,15 @@ RESIDUAL_SCALES = ("std", "var")
 # D = 128 and C = 32, passes of 8 to 32 rows scored every item with the bits
 # of a 4-row pass, while the 48- and 64-row products rounded differently and
 # moved one score in 460 by one ulp.  The cap also bounds the zero padding of
-# a short last pass; 64 rows scored a 140-item split about 4% faster than 32.
+# a short last pass.
+#
+# Passes are scored a group at a time, stacked as a (P, size, H, W, d) array:
+# numpy's stacked matmul calls BLAS once per pass, at the pass's shape and on
+# the calling thread, so every product keeps its bits.  A group holds as many
+# whole passes as fit in _GROUP_VALUES values, one at least: 1 MiB per float64
+# (rows, D) array, within a 2 MiB L2 cache.  At C = 32 that is 32 rows at
+# D = 4096, 64 at 2048 and 1024 at 128.  Not a knob.
+_GROUP_VALUES = 2 ** 17
 
 
 def pass_rows(dim: int, n_components: int) -> int:
@@ -218,21 +229,23 @@ def _mean_bce(z: np.ndarray, labels: np.ndarray, inputs: np.ndarray) -> HeadLoss
 
 
 def _topk_pooled(head: LinearHead, grids: np.ndarray, fraction: float):
-    """Per item of a (B, H, W, d) stack, the mean of its K largest cell scores
-    (B,), with the cells (B, H*W, d) and the pooled indices (B, K).  sum / K
-    is np.mean's arithmetic without its per-call overhead, which one item feels."""
-    b, h, w, d = grids.shape
-    cells = grids.reshape(b, h * w, d)
-    flat = cells @ head.w + head.b[0]                        # (B, H*W)
-    idx = _topk_flat_indices(flat, fraction)                 # (B, K)
-    rows = np.arange(b)[:, None]
-    return flat[rows, idx].sum(axis=1) / idx.shape[1], cells, idx
+    """Per item of a (..., H, W, d) stack, the mean of its K largest cell
+    scores (...), with the cells (..., H*W, d) and the pooled indices (..., K).
+    The scores are gathered by flat index, and sum / K is np.mean's
+    arithmetic, both without the per-call overhead that one item feels."""
+    *lead, h, w, d = grids.shape
+    cells = grids.reshape(*lead, h * w, d)
+    flat = cells @ head.w                                    # (..., H*W)
+    flat += head.b[0]
+    idx = _topk_flat_indices(flat, fraction)                 # (..., K)
+    starts = np.arange(0, flat.size, h * w).reshape(*lead, 1)
+    return flat.reshape(-1)[idx + starts].sum(axis=-1) / idx.shape[-1], cells, idx
 
 
 def _mean_cell_pooled(head: LinearHead, grids: np.ndarray):
-    """Per item of a (B, H, W, d) stack, the head's score of its mean cell
-    vector (B,), with those vectors (B, d)."""
-    mean_cells = grids.reshape(grids.shape[0], -1, grids.shape[3]).mean(axis=1)
+    """Per item of a (..., H, W, d) stack, the head's score of its mean cell
+    vector (...), with those vectors (..., d)."""
+    mean_cells = grids.reshape(grids.shape[:-3] + (-1, grids.shape[-1])).mean(axis=-2)
     return mean_cells @ head.w + head.b[0], mean_cells
 
 
@@ -270,19 +283,20 @@ def residual_grid(mgp: MGP, fm, residual_scale: str = "std") -> np.ndarray:
 
 
 def _residuals(mgp: MGP, grids: np.ndarray, residual_scale: str, weights=None) -> np.ndarray:
-    """``residual_grid`` of a checked float64 (B, H, W, d) stack, from its
+    """``residual_grid`` of a checked float64 (..., H, W, d) stack, from its
     rows' ``plan_weights`` if the caller holds them."""
     if residual_scale not in RESIDUAL_SCALES:
         raise ValidationError(f"residual_scale must be one of {RESIDUAL_SCALES}, got {residual_scale!r}")
-    xs = grids.reshape(grids.shape[0], -1)
+    xs = grids.reshape(grids.shape[:-3] + (-1,))
     if weights is None:
         weights = plan_weights(mgp, xs)
-    elif weights.shape != (len(xs), mgp.n_components):
+    elif weights.shape != xs.shape[:-1] + (mgp.n_components,):
         raise ValidationError(f"plan weights of shape {weights.shape} do not fit {len(xs)} rows")
     psis = plan_endpoints(mgp, weights, xs)
     c = posterior_mode_indices(mgp, psis)
-    denom = np.sqrt(mgp.sigma[c]) if residual_scale == "std" else mgp.sigma[c]
-    return ((psis - mgp.mu[c]) / denom).reshape(grids.shape)
+    psis -= mgp.mu[c]
+    psis /= mgp.sqrt_sigma[c] if residual_scale == "std" else mgp.sigma[c]
+    return psis.reshape(grids.shape)
 
 
 def head_loss_residual(heads: ScoringHeads, mgp: MGP, fms, labels,
@@ -303,29 +317,33 @@ def anomaly_scores(mgp: MGP, heads: ScoringHeads, fms, residual_scale: str = "st
     """Composite scores of rows ``ids`` (all by default) of ``_rows_of(fms)``:
     pooled anomaly + pooled residual - normality.
 
-    Each term is the pooled logit its head loss trains.  Each pass gathers
-    ``pass_rows(D, C)`` rows into a stack padded with zero rows, so an
-    item's score has the same bits whatever else its pass holds.  A
-    non-finite score, or a pass whose arithmetic overflows, divides by zero
-    or goes invalid, raises NumericError naming the item at fault.
+    Each term is the pooled logit its head loss trains.  Rows are scored in
+    passes of ``pass_rows(D, C)`` rows, a group of whole passes per kernel
+    call (``_group_rows``), and only the last group is padded with zero rows
+    to whole passes, so an item's score has the same bits whatever else its
+    pass holds.  A non-finite score, or a group whose arithmetic overflows,
+    divides by zero or goes invalid, raises NumericError naming the item at
+    fault.
     """
     grids, names = _rows_of(fms, mgp.dim, heads.channels)
     ids = np.arange(len(grids)) if ids is None else checked_ids(ids, len(grids))
     size = pass_rows(mgp.dim, mgp.n_components)
+    step = _group_rows(size, mgp.dim)
     out = np.empty(len(ids))
     with np.errstate(over="raise", divide="raise", invalid="raise"):
-        for start in range(0, len(ids), size):
-            rows = ids[start:start + size]
+        for start in range(0, len(ids), step):
+            rows = ids[start:start + step]
             try:
-                out[start:start + len(rows)] = _pass_scores(mgp, heads, grids[rows], size, residual_scale)[:len(rows)]
+                out[start:start + len(rows)] = _group_scores(mgp, heads, grids, rows, size, residual_scale)
             except FloatingPointError:
-                # Rows score independently, so rescoring the pass row by row
-                # finds the row at fault.
-                for i in rows:
+                # Rows score independently, so rescoring the group row by row,
+                # each row as its own padded pass, finds the row at fault.
+                for k in range(len(rows)):
                     try:
-                        _pass_scores(mgp, heads, grids[i:i + 1], size, residual_scale)
+                        _group_scores(mgp, heads, grids, rows[k:k + 1], size, residual_scale)
                     except FloatingPointError as exc:
-                        raise NumericError(f"anomaly score of item {_item(names, i)} is not finite: {exc}") from None
+                        raise NumericError(f"anomaly score of item {_item(names, rows[k])} is not finite: "
+                                           f"{exc}") from None
                 raise
     bad = np.flatnonzero(~np.isfinite(out))
     if bad.size:
@@ -333,16 +351,28 @@ def anomaly_scores(mgp: MGP, heads: ScoringHeads, fms, residual_scale: str = "st
     return out
 
 
-def _pass_scores(mgp: MGP, heads: ScoringHeads, rows: np.ndarray, size: int,
-                 residual_scale: str) -> np.ndarray:
-    """Scores (size,) of up to ``size`` rows, zero-padded to a full pass."""
-    chunk = np.zeros((size,) + rows.shape[1:])
-    chunk[:len(rows)] = rows
+def _group_rows(size: int, dim: int) -> int:
+    """Rows per kernel call of ``anomaly_scores``: whole passes of ``size``
+    rows, as many as fit in ``_GROUP_VALUES`` values of D = dim, one at least."""
+    return size * max(1, _GROUP_VALUES // (size * dim))
+
+
+def _group_scores(mgp: MGP, heads: ScoringHeads, grids: np.ndarray, rows: np.ndarray, size: int,
+                  residual_scale: str) -> np.ndarray:
+    """Scores (len(rows),) of ``grids[rows]``, scored as a (P, size, H, W, d)
+    stack of passes; rows short of a whole pass are zero-padded."""
+    n_pass = -(-len(rows) // size)
+    if len(rows) == n_pass * size:
+        group = grids[rows].astype(np.float64, copy=False)
+    else:
+        group = np.zeros((n_pass * size,) + grids.shape[1:])
+        group[:len(rows)] = grids[rows]
+    group = group.reshape((n_pass, size) + grids.shape[1:])
     frac = heads.topk_fraction
-    s_a = _topk_pooled(heads.anomaly, chunk, frac)[0]
-    s_r = _topk_pooled(heads.residual, _residuals(mgp, chunk, residual_scale), frac)[0]
-    s_n = _mean_cell_pooled(heads.normal, chunk)[0]
-    return s_a + s_r - s_n
+    s_a = _topk_pooled(heads.anomaly, group, frac)[0]
+    s_r = _topk_pooled(heads.residual, _residuals(mgp, group, residual_scale), frac)[0]
+    s_n = _mean_cell_pooled(heads.normal, group)[0]
+    return (s_a + s_r - s_n).reshape(-1)[:len(rows)]
 
 
 def anomaly_score(mgp: MGP, heads: ScoringHeads, fm, residual_scale: str = "std") -> float:

@@ -8,11 +8,12 @@ from dpdl.bridge import (CondGMM, conditional_plan, drift_batch,
                          log_partition, posterior_mode_index,
                          quadrature_oracle_log_bridge_potential,
                          quadrature_oracle_log_partition, sample_endpoint,
-                         simulate_sde_batch, sinkhorn_eot_oracle,
+                         plan_weights, simulate_sde_batch, sinkhorn_eot_oracle,
                          terminal_plan)
 from dpdl.errors import (DomainError, NumericError, UnsupportedError,
                          ValidationError)
 from dpdl.prototypes import MGP, MGPParams, mgp_log_density, mgp_realize, softmax
+from dpdl.scoring import ScoringHeads, anomaly_scores
 
 
 def decimal_drift(mgp, x, t, digits=50):
@@ -410,6 +411,19 @@ class TestUnderflowedWeight:
         # log E exp(x.y/eps) under N(mu_0, diag sigma_0).
         x, e = self.x[0], mgp.epsilon
         assert_close(log_partition(mgp, x), x @ mgp.mu[0] / e + x @ (mgp.sigma[0] * x) / (2.0 * e * e))
+
+    def test_plan_weights_and_scores(self, mgp):
+        # Scoring raises on a divide by zero, and took log(alpha) unguarded:
+        # every item was "divide by zero encountered in log".
+        grids = np.random.default_rng(5).normal(size=(6, 1, 1, 3))
+        heads = ScoringHeads.zeros(3)
+        heads.anomaly.w[:] = [0.5, -1.0, 2.0]
+        with np.errstate(all="raise"):
+            weights = plan_weights(mgp, grids.reshape(6, 3))
+            scores = anomaly_scores(mgp, heads, grids)
+        for x, row in zip(grids.reshape(6, 3), weights):
+            assert row.tobytes() == conditional_plan(mgp, x).weights.tobytes()
+        assert np.all(np.isfinite(scores))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_mgp_log_density(self, mgp):

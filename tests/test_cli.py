@@ -221,11 +221,10 @@ def bundled(tmp_path_factory):
 class TestExtremeCheckpoint:
     # Each edit keeps the checkpoint finite, so it loads.  Before, s = 690
     # scored up to ~1e148, s = 700 ended in a ValidationError about
-    # internal "points", s = -750 in a NumericError, and a = -800 and
-    # m = 1e200 scored normally; each printed numpy warnings on the way.
+    # internal "points", s = -750 in a NumericError, and m = 1e200 scored
+    # normally; each printed numpy warnings on the way.
     EDITS = {"s=690": ("s", (0, 0), 690.0), "s=700": ("s", (0, 0), 700.0),
-             "s=-750": ("s", (0, 0), -750.0), "a=-800": ("a", 0, -800.0),
-             "m=1e200": ("m", (0, 0), 1e200)}
+             "s=-750": ("s", (0, 0), -750.0), "m=1e200": ("m", (0, 0), 1e200)}
 
     @pytest.mark.parametrize("edit", list(EDITS))
     def test_score_is_a_numeric_error(self, bundled, edit, capsys):
@@ -245,6 +244,24 @@ class TestExtremeCheckpoint:
         assert rc == 3
         assert "dpdl: numeric failure" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_an_underflowed_weight_scores(self, bundled):
+        # a = -800 puts the first mixture weight at exactly 0, whose log
+        # weight -inf is the right value.  It was "divide by zero encountered
+        # in log", a NumericError for every item.
+        ckpt = load_checkpoint(bundled / "model.ckpt")
+        ckpt.params.a[0] = -800.0
+        dataset = read_feature_file(bundled / "data.dpdlfeat")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = score_dataset(ckpt, dataset)
+        assert np.all(np.isfinite([row[2] for row in rows]))
+        model = bundled / "a=-800.ckpt"
+        dpdl.save_checkpoint(model, ckpt)
+        out = bundled / "a=-800.csv"
+        assert main(["score", "--model", str(model), "--data", str(bundled / "data.dpdlfeat"),
+                     "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1:] == [f"{i},{y},{v:.17g}" for i, y, v in rows]
 
 
 

@@ -125,6 +125,19 @@ class TestFusedDPL:
         with pytest.raises(ValidationError, match="plan"):
             loss_dpl(mgp, np.zeros((2, 3)), 1, plan)
 
+    @pytest.mark.parametrize("n_normal", [0, 2, 4])
+    def test_a_weight_that_underflowed_to_zero(self, rng, n_normal):
+        # The log weight of alpha = 0 is -inf, the right value; under a
+        # training step's error state it was "divide by zero encountered in log".
+        params = MGPParams(a=np.array([0.0, -800.0, 0.3]), m=rng.normal(size=(3, 5)),
+                           s=0.1 * rng.normal(size=(3, 5)), epsilon=0.5)
+        mgp = mgp_realize(params)
+        assert mgp.alpha[1] == 0.0
+        with np.errstate(all="raise"):
+            step = loss_dpl(mgp, rng.normal(size=(4, 5)), n_normal)
+        assert np.isfinite([step.normal, step.anomaly]).all()
+        assert all(np.isfinite(g).all() for g in (step.grad_a, step.grad_m, step.grad_s))
+
     def test_memory_is_linear_in_prototypes_times_dimension(self):
         # The (C, C, D) form of the self-likelihood needs C*C*D*8 bytes, 67 MB
         # here, for each temporary.

@@ -7,7 +7,7 @@ from conftest import random_mgp, traced_peak
 from dpdl.errors import NumericError, ValidationError
 from dpdl.features import Dataset, FeatureMap
 from dpdl.prototypes import MGP
-from dpdl.scoring import (LinearHead, ScoringHeads, anomaly_score, anomaly_scores,
+from dpdl.scoring import (LinearHead, ScoringHeads, _group_rows, anomaly_score, anomaly_scores,
                           bce_with_logits, head_loss_anomaly, head_loss_normal,
                           head_loss_residual, pass_rows, pixel_scores, residual_grid,
                           topk_mean, write_scores_csv)
@@ -293,6 +293,24 @@ class TestResidual:
             psis = plan_endpoints(mgp, weights, xs)
             assert posterior_mode_indices(mgp, psis).tolist() == [direct(mgp, p) for p in psis]
 
+    @pytest.mark.parametrize("dim", [128, 2048, 4096])
+    def test_stacked_passes_equal_per_pass_calls(self, rng, dim):
+        # Scoring relies on numpy computing a (P, size, D) @ (D, C) product as
+        # one BLAS call per pass at the pass's shape, so every kernel on the
+        # stack has the bits of its per-pass 2-D calls.
+        from dpdl.bridge import plan_endpoints, plan_weights, posterior_mode_indices
+        mgp = random_mgp(rng, 32, dim, epsilon=0.5)
+        size = pass_rows(dim, 32)
+        xs = rng.normal(size=(_group_rows(size, dim) // size, size, dim))
+        weights = plan_weights(mgp, xs)
+        psis = plan_endpoints(mgp, weights, xs)
+        stacked = [mgp.tilted_logits(xs), psis, mgp.sq_distances(psis), posterior_mode_indices(mgp, psis)]
+        for p, x in enumerate(xs):
+            per_pass = [mgp.tilted_logits(x), plan_endpoints(mgp, weights[p], x),
+                        mgp.sq_distances(psis[p]), posterior_mode_indices(mgp, psis[p])]
+            for got, want in zip(stacked, per_pass):
+                assert got[p].tobytes() == want.tobytes()
+
     def test_rejects_non_finite_raw_grid(self, rng):
         mgp = random_mgp(rng, 2, 4)
         with pytest.raises(ValidationError):
@@ -372,6 +390,23 @@ class TestCompositeScore:
                 stack[pos] = grids[pos]
                 assert anomaly_scores(mgp, heads, stack)[pos] == alone[pos]
         assert anomaly_scores(mgp, heads, grids).tobytes() == np.array(alone).tobytes()
+
+    @pytest.mark.parametrize("dims", [(4, 4, 8), (8, 8, 32), (8, 8, 64)], ids=["D128", "D2048", "D4096"])
+    def test_groups_score_as_items_alone(self, rng, dims):
+        # Three groups of whole passes, the last short and zero-padded; each
+        # item scored alone is one padded pass.
+        h, w, d = dims
+        mgp = random_mgp(rng, 32, h * w * d, epsilon=0.5)
+        heads = random_heads(rng, d)
+        group = _group_rows(pass_rows(h * w * d, 32), h * w * d)
+        assert group == {128: 1024, 2048: 64, 4096: 32}[h * w * d]
+        grids = rng.normal(size=(2 * group + 5, h, w, d))
+        alone = [anomaly_score(mgp, heads, g) for g in grids]
+        assert anomaly_scores(mgp, heads, grids).tobytes() == np.array(alone).tobytes()
+        bad = 2 * group + 3
+        grids[bad] *= 1e200
+        with pytest.raises(NumericError, match=f"item at row {bad} is not finite"):
+            anomaly_scores(mgp, heads, grids)
 
     def test_pass_rows(self):
         assert [pass_rows(dim, 32) for dim in (128, 512, 1024, 2048, 4096, 8192)] == [32, 32, 16, 8, 4, 4]
