@@ -50,9 +50,9 @@ def score_dataset(ckpt: Checkpoint, dataset: Dataset, item_ids=None) -> list:
     """Score items (all by default) and return (source_id, label, score) rows.
 
     Each row is exactly ``anomaly_score`` of its item: ``anomaly_scores``
-    gathers one group of whole ``pass_rows(D, C)``-row passes of
-    ``dataset.grids`` at a time, about 1 MiB as float64, so the scored
-    items are never copied as a whole.  ValidationError unless each id
+    gathers one group of whole ``_PASS_ROWS``-row passes of
+    ``dataset.grids`` at a time, one ``_row_blocks`` block of about 1 MiB
+    as float64, so the scored items are never copied as a whole.  ValidationError unless each id
     names an item.
     """
     ids = np.arange(len(dataset)) if item_ids is None else np.asarray(item_ids)

@@ -12,12 +12,13 @@ them once against the call's model; the kernels behind it trust them.
 Head losses are binary cross-entropy on logits, averaged over a
 (B, H, W, d) batch in one call; their gradients flow only through the
 selected top-K cells, with ties broken toward lower flat indices so
-training is deterministic.  Scoring runs in passes whose row count
-``pass_rows`` takes from the model's D and C, so a score does not depend on
-the items beside it, and scores a group of whole passes per kernel call:
-every matrix product becomes a stacked product, which numpy computes as one
-BLAS call per pass at the pass's shape, so the per-call overhead and the
-streaming of the (C, D) mixture tables are paid once per group.
+training is deterministic.  Scoring runs in passes of a fixed
+``_PASS_ROWS`` rows, so a score does not depend on the items beside it, and
+scores a group of whole passes, one ``prototypes._row_blocks`` block, per
+kernel call: every matrix product becomes a stacked product, which numpy
+computes as one BLAS call per pass at the pass's shape, so the per-call
+overhead and the streaming of the (C, D) mixture tables are paid once per
+group.
 """
 
 from __future__ import annotations
@@ -33,54 +34,19 @@ from .atomic import atomic_open
 from .bridge import plan_endpoints, plan_weights, posterior_mode_indices
 from .errors import NumericError, ValidationError
 from .features import Dataset, FeatureMap, checked_ids
-from .prototypes import MGP
+from .prototypes import MGP, _row_blocks
 
 RESIDUAL_SCALES = ("std", "var")
 
-# Rows per scoring pass.  Every pass of one call runs on exactly this many
-# rows, zero-padded, so every matrix product has one shape for a model: BLAS
-# then takes the same kernel and thread split for every pass, and each row
-# rounds the same way whatever the other rows hold.  Products of other shapes
-# can round differently.  A pass's products are (rows, D) x (D, C) pairs,
-# x @ mu.T and w @ mu.  Where OpenBLAS 0.3.31 (numpy 2.4.6, 2 cores) ran each
-# on the calling thread and where it split it over two threads, by the
-# per-thread CPU time of about 1 s of calls after 50 warm-up calls, at C =
-# 16, 32 and 64 alike:
-#
-#     D        2**18 mult-adds   2**19                  2**20
-#     128      calling thread    x @ mu.T on two        both on two
-#     512      calling thread    calling thread         both on two
-#     1024     calling thread    calling thread         both on two
-#     2048     calling thread    calling thread         both on two
-#     4096     calling thread    calling thread         both on two, except
-#                                                       x @ mu.T at C = 16
-#
-# At 2**19, x @ mu.T also went to two threads at D = 256 (C = 64), and both
-# stayed on the calling thread at every other shape tried with D >= 384 (D up
-# to 8192, C up to 256).  A threaded pass is unstable in time: one run of
-# 128-row passes at D = 128 took 8.2 ms per product pair, against about 50 us
-# in others, with the main thread and the worker sharing one CPU.  So a pass
-# holds at most 2**19 multiply-adds per product where D >= 512 and 2**18
-# below, and at least 4 rows, a floor that binds once D * C exceeds a quarter
-# of that budget, as at D = 8192 and C = 32.  It holds at most 32 rows: at
-# D = 128 and C = 32, passes of 8 to 32 rows scored every item with the bits
-# of a 4-row pass, while the 48- and 64-row products rounded differently and
-# moved one score in 460 by one ulp.  The cap also bounds the zero padding of
-# a short last pass.
-#
-# Passes are scored a group at a time, stacked as a (P, size, H, W, d) array:
-# numpy's stacked matmul calls BLAS once per pass, at the pass's shape and on
-# the calling thread, so every product keeps its bits.  A group holds as many
-# whole passes as fit in _GROUP_VALUES values, one at least: 1 MiB per float64
-# (rows, D) array, within a 2 MiB L2 cache.  At C = 32 that is 32 rows at
-# D = 4096, 64 at 2048 and 1024 at 128.  Not a knob.
-_GROUP_VALUES = 2 ** 17
-
-
-def pass_rows(dim: int, n_components: int) -> int:
-    """Rows per scoring pass of a model with D = dim and C = n_components."""
-    budget = 2 ** 19 if dim >= 512 else 2 ** 18
-    return min(32, max(4, budget // (dim * n_components)))
+# Rows per scoring pass.  Every pass holds exactly this many rows, the last
+# padded with repeats of real rows, so every matrix product has one shape
+# for a model and each row rounds the same way whatever else its pass holds;
+# products of other shapes can round differently.  4 rows keep a pass's
+# (4, D) x (D, C) products, x @ mu.T and w @ mu, on BLAS's calling thread up
+# to D * C = 2**17 (2**16 below D = 512) with OpenBLAS 0.3.31 on 2 cores,
+# which split larger ones over two threads, unstable in time.  Not a knob:
+# another size can move output bits.
+_PASS_ROWS = 4
 
 
 @dataclass
@@ -175,17 +141,30 @@ def _batch_of(fms, dim: int | None = None, channels: int | None = None) -> np.nd
 
 def pixel_scores(head: LinearHead, fm) -> np.ndarray:
     """Affine score of every cell: (H, W) for one item, (N, H, W) for rows of them."""
-    out = _batch_of(fm, channels=head.w.shape[0]) @ head.w + head.b[0]
+    grids = _batch_of(fm, channels=head.w.shape[0])
+    out = _cell_scores(head, grids).reshape(grids.shape[:-1])
     return out[0] if _is_one(fm) else out
 
 
-def _topk_flat_indices(flat: np.ndarray, fraction: float) -> np.ndarray:
-    """Per row of flat (..., N), the indices of its K largest entries, ties to the lowest index."""
+def _cell_scores(head: LinearHead, grids: np.ndarray) -> np.ndarray:
+    """The head's score of every cell of a float64 (..., H, W, d) stack, as (..., H*W)."""
+    flat = grids.reshape(grids.shape[:-3] + (-1, grids.shape[-1])) @ head.w
+    flat += head.b[0]
+    return flat
+
+
+def _topk(flat: np.ndarray, fraction: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of flat (..., N), the mean of its K largest entries (...) and
+    their indices (..., K), K = max(1, floor(fraction * N)), ties to the
+    lowest index.  The entries are gathered by flat index, and sum / K is
+    np.mean's arithmetic, both without the per-call overhead that one item feels."""
     if not 0.0 < fraction <= 1.0:
         raise ValidationError(f"fraction must lie in (0, 1], got {fraction}")
-    k = max(1, int(np.floor(fraction * flat.shape[-1])))
-    order = np.argsort(-flat, axis=-1, kind="stable")
-    return order[..., :k]
+    n = flat.shape[-1]
+    k = max(1, int(np.floor(fraction * n)))
+    idx = np.argsort(-flat, axis=-1, kind="stable")[..., :k]
+    starts = np.arange(0, flat.size, n).reshape(flat.shape[:-1] + (1,))
+    return flat.reshape(-1)[idx + starts].sum(axis=-1) / k, idx
 
 
 def topk_mean(scores: np.ndarray, fraction: float) -> float:
@@ -194,8 +173,7 @@ def topk_mean(scores: np.ndarray, fraction: float) -> float:
     flat = np.asarray(scores, dtype=np.float64).reshape(-1)
     if flat.shape[0] < 1 or not np.all(np.isfinite(flat)):
         raise ValidationError("cannot pool an empty or non-finite score array")
-    idx = _topk_flat_indices(flat, fraction)
-    return float(np.mean(flat[idx]))
+    return float(_topk(flat, fraction)[0])
 
 
 def bce_with_logits(z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -228,20 +206,6 @@ def _mean_bce(z: np.ndarray, labels: np.ndarray, inputs: np.ndarray) -> HeadLoss
                     grad_b=np.array([np.mean(dz)]))
 
 
-def _topk_pooled(head: LinearHead, grids: np.ndarray, fraction: float):
-    """Per item of a (..., H, W, d) stack, the mean of its K largest cell
-    scores (...), with the cells (..., H*W, d) and the pooled indices (..., K).
-    The scores are gathered by flat index, and sum / K is np.mean's
-    arithmetic, both without the per-call overhead that one item feels."""
-    *lead, h, w, d = grids.shape
-    cells = grids.reshape(*lead, h * w, d)
-    flat = cells @ head.w                                    # (..., H*W)
-    flat += head.b[0]
-    idx = _topk_flat_indices(flat, fraction)                 # (..., K)
-    starts = np.arange(0, flat.size, h * w).reshape(*lead, 1)
-    return flat.reshape(-1)[idx + starts].sum(axis=-1) / idx.shape[-1], cells, idx
-
-
 def _mean_cell_pooled(head: LinearHead, grids: np.ndarray):
     """Per item of a (..., H, W, d) stack, the head's score of its mean cell
     vector (...), with those vectors (..., d)."""
@@ -250,8 +214,9 @@ def _mean_cell_pooled(head: LinearHead, grids: np.ndarray):
 
 
 def _pooled_bce(head: LinearHead, grids: np.ndarray, labels: np.ndarray, fraction: float) -> HeadLoss:
-    z, cells, idx = _topk_pooled(head, grids, fraction)
-    top = cells[np.arange(grids.shape[0])[:, None], idx]    # (B, K, d)
+    z, idx = _topk(_cell_scores(head, grids), fraction)
+    cells = grids.reshape(len(grids), -1, grids.shape[-1])   # (B, H*W, d)
+    top = cells[np.arange(len(grids))[:, None], idx]         # (B, K, d)
     return _mean_bce(z, labels, top.mean(axis=1))
 
 
@@ -318,61 +283,45 @@ def anomaly_scores(mgp: MGP, heads: ScoringHeads, fms, residual_scale: str = "st
     pooled anomaly + pooled residual - normality.
 
     Each term is the pooled logit its head loss trains.  Rows are scored in
-    passes of ``pass_rows(D, C)`` rows, a group of whole passes per kernel
-    call (``_group_rows``), and only the last group is padded with zero rows
-    to whole passes, so an item's score has the same bits whatever else its
-    pass holds.  A non-finite score, or a group whose arithmetic overflows,
-    divides by zero or goes invalid, raises NumericError naming the item at
-    fault.
+    passes of ``_PASS_ROWS`` rows, the last padded with repeats of the first
+    ids, and a ``_row_blocks`` group of whole passes per kernel call, so an
+    item's score has the same bits whatever else its pass holds.  A
+    non-finite score, or a group whose arithmetic overflows, divides by zero
+    or goes invalid, raises NumericError naming the item at fault.
     """
     grids, names = _rows_of(fms, mgp.dim, heads.channels)
     ids = np.arange(len(grids)) if ids is None else checked_ids(ids, len(grids))
-    size = pass_rows(mgp.dim, mgp.n_components)
-    step = _group_rows(size, mgp.dim)
-    out = np.empty(len(ids))
+    passes = np.resize(ids, (-(-len(ids) // _PASS_ROWS), _PASS_ROWS))
+    out = np.empty(passes.shape)
     with np.errstate(over="raise", divide="raise", invalid="raise"):
-        for start in range(0, len(ids), step):
-            rows = ids[start:start + step]
+        for block in _row_blocks(len(passes), _PASS_ROWS * mgp.dim):
             try:
-                out[start:start + len(rows)] = _group_scores(mgp, heads, grids, rows, size, residual_scale)
+                out[block] = _group_scores(mgp, heads, grids[passes[block]], residual_scale)
             except FloatingPointError:
                 # Rows score independently, so rescoring the group row by row,
-                # each row as its own padded pass, finds the row at fault.
-                for k in range(len(rows)):
+                # each row alone as a pass of its copies, finds the row at fault.
+                for i in ids[block.start * _PASS_ROWS:block.stop * _PASS_ROWS]:
                     try:
-                        _group_scores(mgp, heads, grids, rows[k:k + 1], size, residual_scale)
+                        _group_scores(mgp, heads, grids[np.full((1, _PASS_ROWS), i)], residual_scale)
                     except FloatingPointError as exc:
-                        raise NumericError(f"anomaly score of item {_item(names, rows[k])} is not finite: "
+                        raise NumericError(f"anomaly score of item {_item(names, i)} is not finite: "
                                            f"{exc}") from None
                 raise
+    out = out.reshape(-1)[:len(ids)]
     bad = np.flatnonzero(~np.isfinite(out))
     if bad.size:
         raise NumericError(f"anomaly score of item {_item(names, ids[bad[0]])} is not finite: {out[bad[0]]}")
     return out
 
 
-def _group_rows(size: int, dim: int) -> int:
-    """Rows per kernel call of ``anomaly_scores``: whole passes of ``size``
-    rows, as many as fit in ``_GROUP_VALUES`` values of D = dim, one at least."""
-    return size * max(1, _GROUP_VALUES // (size * dim))
-
-
-def _group_scores(mgp: MGP, heads: ScoringHeads, grids: np.ndarray, rows: np.ndarray, size: int,
-                  residual_scale: str) -> np.ndarray:
-    """Scores (len(rows),) of ``grids[rows]``, scored as a (P, size, H, W, d)
-    stack of passes; rows short of a whole pass are zero-padded."""
-    n_pass = -(-len(rows) // size)
-    if len(rows) == n_pass * size:
-        group = grids[rows].astype(np.float64, copy=False)
-    else:
-        group = np.zeros((n_pass * size,) + grids.shape[1:])
-        group[:len(rows)] = grids[rows]
-    group = group.reshape((n_pass, size) + grids.shape[1:])
+def _group_scores(mgp: MGP, heads: ScoringHeads, group: np.ndarray, residual_scale: str) -> np.ndarray:
+    """Scores (P, rows) of a (P, rows, H, W, d) stack of passes."""
+    group = group.astype(np.float64, copy=False)
     frac = heads.topk_fraction
-    s_a = _topk_pooled(heads.anomaly, group, frac)[0]
-    s_r = _topk_pooled(heads.residual, _residuals(mgp, group, residual_scale), frac)[0]
+    s_a = _topk(_cell_scores(heads.anomaly, group), frac)[0]
+    s_r = _topk(_cell_scores(heads.residual, _residuals(mgp, group, residual_scale)), frac)[0]
     s_n = _mean_cell_pooled(heads.normal, group)[0]
-    return (s_a + s_r - s_n).reshape(-1)[:len(rows)]
+    return s_a + s_r - s_n
 
 
 def anomaly_score(mgp: MGP, heads: ScoringHeads, fm, residual_scale: str = "std") -> float:

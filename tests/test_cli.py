@@ -156,6 +156,14 @@ class TestErrorPaths:
         assert rc == 1
         assert "nonnegative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["abc", "1e3", "-1"])
+    def test_non_integer_seed(self, capsys, text):
+        # A non-integer was "invalid _nonneg_int value", naming a private function.
+        assert main(["synth", "--config", "x", "--seed", text, "--out", "y"]) == 1
+        err = capsys.readouterr().err
+        assert f"argument --seed: expected a nonnegative integer, got '{text}'" in err
+        assert "_nonneg_int" not in err
+
     def test_missing_input_file(self, tmp_path, capsys):
         rc = main(["score", "--model", str(tmp_path / "absent.ckpt"),
                    "--data", str(tmp_path / "absent.dpdlfeat"),

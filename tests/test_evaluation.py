@@ -9,13 +9,13 @@ from dpdl.evaluation import (auc, format_report, nearest_prototype_baseline_auc,
                              Report, run_experiment, score_dataset, write_report)
 from dpdl.features import Dataset, FeatureMap, SplitPlan, make_splits
 from dpdl.prototypes import mgp_realize
-from dpdl.scoring import anomaly_score, pass_rows
+from dpdl.scoring import _PASS_ROWS, anomaly_score
 from dpdl.training import TrainConfig, train
 
-from test_training import D, H, W, tiny_config, tiny_dataset, tiny_split
+from test_training import tiny_config, tiny_dataset, tiny_split
 
-# Rows per scoring pass of the tiny models trained here.
-PASS = pass_rows(H * W * D, tiny_config().n_prototypes)
+# Rows per scoring pass.
+PASS = _PASS_ROWS
 
 
 def pairwise_auc(scores, labels):
@@ -107,9 +107,9 @@ def same_bits(rows, want):
 
 @pytest.fixture(scope="module", params=[1e-3, 0.5], ids=["eps1e-3", "eps0.5"])
 def chunk_case(request):
-    """A trained checkpoint and a dataset of more than two passes.  At
-    epsilon 1e-3 nearly every conditional plan is one-hot."""
-    ds = tiny_dataset(n_normal=2 * PASS + 8, n_anomaly=8)
+    """A trained checkpoint and a dataset of 20 passes.  At epsilon 1e-3
+    nearly every conditional plan is one-hot."""
+    ds = tiny_dataset(n_normal=72, n_anomaly=8)
     ckpt = train(ds, tiny_split(ds), tiny_config(epochs=1, epsilon=request.param)).checkpoint
     return ckpt, ds
 
@@ -135,20 +135,18 @@ class TestChunkedScoring:
             assert same_bits(rows, [alone[ds.items[i].source_id] for i in ids])
 
     def test_memory_does_not_grow_with_item_count(self):
-        # At D = 2048 one pass of float64 rows is pass_rows(2048, C) * 16 KiB;
-        # a stack of all the items would be 20 passes of it.
-        rows = pass_rows(8 * 8 * 32, tiny_config().n_prototypes)
+        # At D = 2048 a float64 row is 16 KiB, so a stack of all 640 items
+        # would be 10 MiB; a scoring group is 64 rows, 1 MiB.
         rng = np.random.default_rng(3)
         items = tuple(FeatureMap(rng.normal(0.0, 0.1, size=(8, 8, 32)).astype(np.float32),
-                                 int(i % 10 == 0), 0, f"x{i}") for i in range(20 * rows))
+                                 int(i % 10 == 0), 0, f"x{i}") for i in range(640))
         ds = Dataset(items, name="wide")
         ckpt = train(ds, tiny_split(ds), tiny_config(epochs=1)).checkpoint
-        pass_bytes = rows * 2048 * 8
         peaks = {}
-        for n in (2 * rows, 20 * rows):
+        for n in (64, 640):
             _, peaks[n] = traced_peak(score_dataset, ckpt, ds, range(n))
-        assert peaks[20 * rows] < 12 * pass_bytes
-        assert peaks[20 * rows] - peaks[2 * rows] < pass_bytes
+        assert peaks[640] < 6 * 2 ** 20
+        assert peaks[640] - peaks[64] < 2 ** 19
 
     def test_non_finite_score_names_its_item(self):
         # Item 13 is an anomaly with a cell near 2.1: 2.1 * 1e308 overflows.

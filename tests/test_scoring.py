@@ -6,11 +6,16 @@ import pytest
 from conftest import random_mgp, traced_peak
 from dpdl.errors import NumericError, ValidationError
 from dpdl.features import Dataset, FeatureMap
-from dpdl.prototypes import MGP
-from dpdl.scoring import (LinearHead, ScoringHeads, _group_rows, anomaly_score, anomaly_scores,
+from dpdl.prototypes import MGP, _row_blocks
+from dpdl.scoring import (_PASS_ROWS, LinearHead, ScoringHeads, anomaly_score, anomaly_scores,
                           bce_with_logits, head_loss_anomaly, head_loss_normal,
-                          head_loss_residual, pass_rows, pixel_scores, residual_grid,
+                          head_loss_residual, pixel_scores, residual_grid,
                           topk_mean, write_scores_csv)
+
+
+def group_passes(dim):
+    """Passes per kernel call of ``anomaly_scores`` at D = dim."""
+    return next(_row_blocks(2 ** 20, _PASS_ROWS * dim)).stop
 
 
 def random_heads(rng, channels, topk_fraction=0.25):
@@ -300,8 +305,7 @@ class TestResidual:
         # stack has the bits of its per-pass 2-D calls.
         from dpdl.bridge import plan_endpoints, plan_weights, posterior_mode_indices
         mgp = random_mgp(rng, 32, dim, epsilon=0.5)
-        size = pass_rows(dim, 32)
-        xs = rng.normal(size=(_group_rows(size, dim) // size, size, dim))
+        xs = rng.normal(size=(group_passes(dim), _PASS_ROWS, dim))
         weights = plan_weights(mgp, xs)
         psis = plan_endpoints(mgp, weights, xs)
         stacked = [mgp.tilted_logits(xs), psis, mgp.sq_distances(psis), posterior_mode_indices(mgp, psis)]
@@ -374,14 +378,12 @@ class TestCompositeScore:
     def test_score_ignores_the_rest_of_its_chunk(self, rng, epsilon, dims):
         # The chunk's other rows are random, zero, or scaled by 1e3; at
         # D = 2048 an unpadded (M, D) product can round row 0 differently for
-        # different M.  At 32 prototypes, D = 512, 1024 and 2048 take 32-, 16-
-        # and 8-row passes, and D = 8192's D x C = 2**18 puts even a pass of
-        # the 4-row floor past the 2**19 multiply-adds that pass_rows keeps
-        # on the calling thread.
+        # different M.  D = 8192's D x C = 2**18 puts even a 4-row pass past
+        # the 2**19 multiply-adds that OpenBLAS ran on the calling thread.
         h, w, d, c = dims
         mgp = random_mgp(rng, c, h * w * d, epsilon=epsilon)
         heads = random_heads(rng, d)
-        size = pass_rows(h * w * d, c)
+        size = _PASS_ROWS
         grids = rng.normal(size=(size + 5, h, w, d))
         alone = [anomaly_score(mgp, heads, g) for g in grids]
         for others in (grids, np.zeros_like(grids), 1e3 * grids):
@@ -393,31 +395,36 @@ class TestCompositeScore:
 
     @pytest.mark.parametrize("dims", [(4, 4, 8), (8, 8, 32), (8, 8, 64)], ids=["D128", "D2048", "D4096"])
     def test_groups_score_as_items_alone(self, rng, dims):
-        # Three groups of whole passes, the last short and zero-padded; each
-        # item scored alone is one padded pass.
+        # Three groups of whole passes, the last short, its last pass padded
+        # with 3, 2, 1 or no repeated rows; each item scored alone is a pass
+        # of its copies.
         h, w, d = dims
         mgp = random_mgp(rng, 32, h * w * d, epsilon=0.5)
         heads = random_heads(rng, d)
-        group = _group_rows(pass_rows(h * w * d, 32), h * w * d)
+        group = _PASS_ROWS * group_passes(h * w * d)
         assert group == {128: 1024, 2048: 64, 4096: 32}[h * w * d]
-        grids = rng.normal(size=(2 * group + 5, h, w, d))
-        alone = [anomaly_score(mgp, heads, g) for g in grids]
-        assert anomaly_scores(mgp, heads, grids).tobytes() == np.array(alone).tobytes()
+        grids = rng.normal(size=(2 * group + 4, h, w, d))
+        alone = np.array([anomaly_score(mgp, heads, g) for g in grids])
+        for n in range(2 * group + 1, 2 * group + 5):
+            assert anomaly_scores(mgp, heads, grids[:n]).tobytes() == alone[:n].tobytes()
         bad = 2 * group + 3
         grids[bad] *= 1e200
         with pytest.raises(NumericError, match=f"item at row {bad} is not finite"):
             anomaly_scores(mgp, heads, grids)
 
-    def test_pass_rows(self):
-        assert [pass_rows(dim, 32) for dim in (128, 512, 1024, 2048, 4096, 8192)] == [32, 32, 16, 8, 4, 4]
-        assert pass_rows(8, 6) == 32
-        # Below D = 512, x @ mu.T went to two threads at 2**19 multiply-adds.
-        assert [pass_rows(128, 128), pass_rows(256, 64)] == [16, 16]
-        for dim in (1, 8, 100, 128, 300, 512, 600, 2048, 4096):
-            for c in (1, 2, 6, 32, 33, 100):
-                rows = pass_rows(dim, c)
-                assert 4 <= rows <= 32
-                assert rows == 4 or rows * dim * c <= (2 ** 19 if dim >= 512 else 2 ** 18)
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (3, 3, 8), (2, 1, 16)])
+    def test_pooled_pixel_map_is_the_anomaly_term(self, rng, dims):
+        # pixel_scores and the composite score share one per-cell product.
+        # A (W, d) product and an (H*W, d) one can round a cell differently
+        # where W is not a multiple of 4 and d >= 8, or W = 1 and d >= 2.
+        d = dims[2]
+        mgp = random_mgp(rng, 2, int(np.prod(dims)), epsilon=0.8)
+        heads = ScoringHeads.zeros(d, topk_fraction=0.5)
+        heads.anomaly.w[:] = rng.normal(size=d)
+        heads.anomaly.b[:] = rng.normal()
+        grids = rng.normal(size=(5,) + dims)
+        want = [topk_mean(pixel_scores(heads.anomaly, g), 0.5) for g in grids]
+        assert anomaly_scores(mgp, heads, grids).tobytes() == np.array(want).tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_input_names_its_row(self, rng, bad):
